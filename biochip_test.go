@@ -191,7 +191,8 @@ func TestFacadeAssayService(t *testing.T) {
 			OpReleaseAll{},
 		},
 	}
-	id, err := svc.Submit(pr, 9)
+	res, err := svc.Submit(pr, 9, "")
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,11 @@
 //	GET  /v1/metrics            Prometheus text exposition (disable with -no-obs)
 //	GET  /v1/healthz            liveness; flips to 503/"draining" during shutdown
 //
+// One handler set in internal/service (service.NewHandler) serves these
+// endpoints in both daemon roles, worker and -gateway, with one
+// error→status table: a submit body over 1 MiB is 413, a non-finite
+// long-poll timeout 400.
+//
 // The program payload is the assay JSON wire format documented in
 // docs/assay-format.md (the same format cmd/assayc compiles); programs
 // may carry an explicit "requirements" block to steer placement. Use
@@ -122,8 +127,7 @@ func main() {
 	if *fleet != "" {
 		spec, err := service.LoadFleetSpec(*fleet)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		svcCfg = spec.ServiceConfig()
 		if svcCfg.QueueDepth == 0 {
@@ -148,24 +152,50 @@ func main() {
 	}
 	svcCfg.Obs = reg
 
-	var disk *store.Disk
-	if *data != "" {
-		var err error
-		disk, err = store.Open(*data, store.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
-		}
+	disk := openStore(*data)
+	if disk != nil {
 		svcCfg.Store = disk
 	}
-
 	svc, err := service.New(svcCfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	fmt.Fprintf(os.Stderr, "assayd: %d shards, queue %d, listening on %s\n",
+		svc.Shards(), svcCfg.QueueDepth, *addr)
+	if disk != nil {
+		fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d jobs recovered\n",
+			*data, svc.Stats().Recovered)
+	}
+	for _, p := range svc.Profiles() {
+		tech := ""
+		if p.Tech != "" {
+			tech = ", " + p.Tech
+		}
+		fmt.Fprintf(os.Stderr, "assayd:   profile %s: %d × %d×%d dies%s\n",
+			p.Name, p.Shards, p.Chip.Array.Cols, p.Chip.Array.Rows, tech)
+	}
+	serve(*addr, svc, disk)
+}
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so slow-header connections cannot pile up. There is
+// deliberately no WriteTimeout: it would cut event streams and
+// long-polls.
+const readHeaderTimeout = 10 * time.Second
+
+// daemon is what serve runs: a worker *service.Service or a
+// *federation.Gateway — one HTTP surface (service.NewHandler) plus the
+// drain and close steps of the shutdown.
+type daemon interface {
+	Handler() http.Handler
+	Drain()
+	Close()
+}
+
+// serve runs the daemon on addr until a signal drains it, then closes
+// the daemon and its store (nil when in-memory).
+func serve(addr string, d daemon, disk *store.Disk) {
+	srv := &http.Server{Addr: addr, Handler: d.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	done := make(chan struct{})
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -183,39 +213,40 @@ func main() {
 			fmt.Fprintln(os.Stderr, "assayd: second signal, exiting without drain")
 			os.Exit(1)
 		}()
-		svc.Drain()
+		d.Drain()
 		fmt.Fprintln(os.Stderr, "assayd: drained, shutting down")
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		_ = srv.Shutdown(ctx)
 		close(done)
 	}()
-
-	fmt.Fprintf(os.Stderr, "assayd: %d shards, queue %d, listening on %s\n",
-		svc.Shards(), svcCfg.QueueDepth, *addr)
-	if disk != nil {
-		fmt.Fprintf(os.Stderr, "assayd: data dir %s: %d jobs recovered\n",
-			*data, svc.Stats().Recovered)
-	}
-	for _, p := range svc.Profiles() {
-		tech := ""
-		if p.Tech != "" {
-			tech = ", " + p.Tech
-		}
-		fmt.Fprintf(os.Stderr, "assayd:   profile %s: %d × %d×%d dies%s\n",
-			p.Name, p.Shards, p.Chip.Array.Cols, p.Chip.Array.Rows, tech)
-	}
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	<-done
-	svc.Close()
+	d.Close()
 	if disk != nil {
 		if err := disk.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "assayd:", err)
 		}
 	}
+}
+
+// openStore opens the durable data directory; nil for in-memory.
+func openStore(dir string) *store.Disk {
+	if dir == "" {
+		return nil
+	}
+	disk, err := store.Open(dir, store.Options{})
+	if err != nil {
+		fatal(err)
+	}
+	return disk
+}
+
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "assayd:", err)
+	os.Exit(1)
 }
 
 // startPprof serves net/http/pprof on its own listener, kept off the
@@ -237,14 +268,12 @@ func startPprof(addr string) {
 	}()
 }
 
-// runGateway is the -gateway serving path: same lifecycle as a worker
-// (serve, drain on signal, second signal exits immediately) over a
-// federation.Gateway instead of a local fleet.
+// runGateway is the -gateway serving path: the worker's lifecycle over
+// a federation.Gateway instead of a local fleet.
 func runGateway(addr, membersPath, data string, cacheEntries int, noCache bool, reg *obs.Registry) {
 	spec, err := federation.LoadMembersSpec(membersPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	cfg := federation.Config{Members: spec.Members, Cache: spec.Cache, Obs: reg}
 	if cacheEntries != 0 {
@@ -253,41 +282,14 @@ func runGateway(addr, membersPath, data string, cacheEntries int, noCache bool, 
 	if noCache {
 		cfg.Cache.Disable = true
 	}
-	var disk *store.Disk
-	if data != "" {
-		disk, err = store.Open(data, store.Options{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-			os.Exit(1)
-		}
+	disk := openStore(data)
+	if disk != nil {
 		cfg.Store = disk
 	}
 	g, err := federation.New(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	srv := &http.Server{Addr: addr, Handler: g.Handler()}
-
-	done := make(chan struct{})
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "assayd: gateway draining (no new admissions; signal again to exit now)")
-		go func() {
-			<-sig
-			fmt.Fprintln(os.Stderr, "assayd: second signal, exiting without drain")
-			os.Exit(1)
-		}()
-		g.Drain()
-		fmt.Fprintln(os.Stderr, "assayd: gateway drained, shutting down")
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = srv.Shutdown(ctx)
-		close(done)
-	}()
-
 	fmt.Fprintf(os.Stderr, "assayd: gateway over %d members, listening on %s\n",
 		len(spec.Members), addr)
 	if disk != nil {
@@ -301,15 +303,5 @@ func runGateway(addr, membersPath, data string, cacheEntries int, noCache bool, 
 		}
 		fmt.Fprintf(os.Stderr, "assayd:   member %s @ %s: profiles %v\n", m.Name, m.Addr, names)
 	}
-	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-		fmt.Fprintln(os.Stderr, "assayd:", err)
-		os.Exit(1)
-	}
-	<-done
-	g.Close()
-	if disk != nil {
-		if err := disk.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "assayd:", err)
-		}
-	}
+	serve(addr, g, disk)
 }

@@ -88,7 +88,8 @@ func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]*assa
 	defer svc.Close()
 	ids := make([]string, jobs)
 	for i := range ids {
-		id, err := svc.Submit(e16Program(i, cells), seedBase(16)+uint64(i))
+		res, err := svc.Submit(e16Program(i, cells), seedBase(16)+uint64(i), "")
+		id := res.ID
 		if err != nil {
 			return nil, err
 		}
@@ -157,7 +158,7 @@ func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16P
 	start := time.Now()
 	ids := make([]string, jobs)
 	for i := range ids {
-		res, err := g.SubmitDetail(e16Program(i, cells), seedBase(16)+uint64(i))
+		res, err := g.Submit(e16Program(i, cells), seedBase(16)+uint64(i), "")
 		if err != nil {
 			return pt, nil, err
 		}

@@ -92,7 +92,8 @@ func E13HeterogeneousFleet(scale Scale) (*table.Table, error) {
 			if i >= smallJobs {
 				pr = largePr
 			}
-			id, err := svc.Submit(pr, seedBase(13)+uint64(i))
+			res, err := svc.Submit(pr, seedBase(13)+uint64(i), "")
+			id := res.ID
 			if err != nil {
 				svc.Close()
 				return nil, err

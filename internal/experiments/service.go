@@ -59,7 +59,8 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 		start := time.Now()
 		ids := make([]string, jobs)
 		for i := range ids {
-			id, err := svc.Submit(pr, seedBase(11)+uint64(i))
+			res, err := svc.Submit(pr, seedBase(11)+uint64(i), "")
+			id := res.ID
 			if err != nil {
 				svc.Close()
 				return nil, err

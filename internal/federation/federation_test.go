@@ -130,7 +130,8 @@ func referenceRun(t *testing.T, profiles []service.FleetProfileSpec, batch []ref
 	out := make(map[string]refResult, len(batch))
 	ids := make([]string, len(batch))
 	for i, b := range batch {
-		id, err := svc.Submit(b.pr, b.seed)
+		res, err := svc.Submit(b.pr, b.seed, "")
+		id := res.ID
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +189,7 @@ func TestGatewayBitIdenticalToSingleNode(t *testing.T) {
 			g := startGateway(t, members, die40())
 			ids := make([]string, len(batch))
 			for i, b := range batch {
-				res, err := g.SubmitDetail(b.pr, b.seed)
+				res, err := g.Submit(b.pr, b.seed, "")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -246,7 +247,7 @@ func TestGatewayHeterogeneousPlacement(t *testing.T) {
 	defer g.Close()
 
 	pr := pinnedLargeProgram()
-	res, err := g.SubmitDetail(pr, 777)
+	res, err := g.Submit(pr, 777, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestGatewayHeterogeneousPlacement(t *testing.T) {
 	// A program no member fits maps to the usual typed error.
 	impossible := testProgram(4)
 	impossible.Requirements = &assay.Requirements{MinCols: 4096}
-	if _, err := g.SubmitDetail(impossible, 1); err == nil {
+	if _, err := g.Submit(impossible, 1, ""); err == nil {
 		t.Fatal("impossible program accepted")
 	} else if _, ok := err.(*service.IncompatibleError); !ok {
 		t.Fatalf("impossible program: %T, want *service.IncompatibleError", err)
@@ -347,10 +348,10 @@ func readSSE(t *testing.T, base, id string, after uint64, max int) []stream.Even
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("events: status %d", resp.StatusCode)
 	}
-	sc := newSSEScanner(resp.Body)
+	sc := service.NewSSEReader(resp.Body)
 	var out []stream.Event
 	for {
-		ev, ok := sc.next()
+		ev, ok := sc.Next()
 		if !ok {
 			return out
 		}
@@ -371,14 +372,14 @@ func TestGatewayCacheDedup(t *testing.T) {
 	g := startGateway(t, 2, die40())
 	pr := testProgram(5)
 
-	root, err := g.SubmitDetail(pr, 42)
+	root, err := g.Submit(pr, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if root.Cache != "" {
 		t.Fatalf("first submission: cache %q, want none", root.Cache)
 	}
-	dup, err := g.SubmitDetail(pr, 42)
+	dup, err := g.Submit(pr, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestGatewayCacheDedup(t *testing.T) {
 	if _, terminal, err := g.WaitTimeout(root.ID, 30*time.Second); err != nil || !terminal {
 		t.Fatalf("wait: terminal=%v err=%v", terminal, err)
 	}
-	late, err := g.SubmitDetail(pr, 42)
+	late, err := g.Submit(pr, 42, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +400,7 @@ func TestGatewayCacheDedup(t *testing.T) {
 		t.Fatalf("late duplicate = %+v, want hit on root %s", late, root.ID)
 	}
 	// A different seed is a different content address: forwarded.
-	other, err := g.SubmitDetail(pr, 43)
+	other, err := g.Submit(pr, 43, "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"time"
@@ -33,8 +34,14 @@ const (
 )
 
 // ErrNoMembers reports a submission no member could take because none
-// was reachable.
-var ErrNoMembers = errors.New("federation: no member reachable")
+// was reachable. It matches service.ErrUnavailable, so the shared HTTP
+// error table answers it with 503.
+var ErrNoMembers error = noMembersError{}
+
+type noMembersError struct{}
+
+func (noMembersError) Error() string        { return "federation: no member reachable" }
+func (noMembersError) Is(target error) bool { return target == service.ErrUnavailable }
 
 // Config configures a Gateway.
 type Config struct {
@@ -139,6 +146,14 @@ type Gateway struct {
 	started obs.Stamp
 }
 
+var _ service.Frontend = (*Gateway)(nil)
+
+// Handler exposes the gateway over HTTP with the worker's handler set
+// (service.NewHandler): same routes, same error table. Job records and
+// listings carry the member name, /v1/stats is the federated Stats and
+// /v1/healthz the aggregated Health.
+func (g *Gateway) Handler() http.Handler { return service.NewHandler(g, g.met.sse) }
+
 // New builds a gateway over the given members, replays the store to
 // re-resolve previously routed jobs, and starts the backlog poller.
 func New(cfg Config) (*Gateway, error) {
@@ -222,6 +237,9 @@ func (g *Gateway) recover() error {
 					j.key = key
 				}
 			}
+		}
+		if m != nil {
+			j.snap.Member = m.Name
 		}
 		g.jobs[r.ID] = j
 		if _, dup := g.remote[routeKey(r.Member, r.RemoteID)]; !dup {
@@ -309,24 +327,6 @@ func (m *Member) matOf(name string) cache.ProfileMaterial {
 	return cache.ProfileMaterial{}
 }
 
-// Submit forwards the program to the best member, returning the
-// gateway job ID.
-func (g *Gateway) Submit(pr assay.Program, seed uint64) (string, error) {
-	res, err := g.SubmitDetail(pr, seed)
-	return res.ID, err
-}
-
-// SubmitDetail places one submission: gateway cache first (an
-// identical finished or in-flight routed job answers without a
-// forward), then the reachable members with a compatible profile in
-// ascending backlog order. The job→member binding is logged through
-// the store before the submission is acked, exactly as a worker WALs
-// its own admissions. Error contract as service.SubmitDetail, with
-// ErrNoMembers when every candidate was unreachable.
-func (g *Gateway) SubmitDetail(pr assay.Program, seed uint64) (service.SubmitResult, error) {
-	return g.SubmitTraced(pr, seed, "")
-}
-
 // fwdTrace carries the telemetry stamps of one submission through the
 // forwarding path until bind can attach them to the minted job.
 type fwdTrace struct {
@@ -336,10 +336,16 @@ type fwdTrace struct {
 	fwdAt           obs.Stamp
 }
 
-// SubmitTraced is SubmitDetail with an upstream trace parent: the
-// X-Assay-Trace value of whoever forwarded to this gateway, recorded
-// as the root span's parent ("" for a direct submission).
-func (g *Gateway) SubmitTraced(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
+// Submit places one submission: gateway cache first (an identical
+// finished or in-flight routed job answers without a forward), then the
+// reachable members with a compatible profile in ascending backlog
+// order. The job→member binding is logged through the store before the
+// submission is acked, exactly as a worker WALs its own admissions.
+// traceParent is the X-Assay-Trace value of whoever forwarded to this
+// gateway, recorded as the root span's parent ("" for a direct
+// submission). Error contract as service.Submit, with ErrNoMembers when
+// every candidate was unreachable.
+func (g *Gateway) Submit(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
 	if err := pr.CheckOps(); err != nil {
 		return service.SubmitResult{}, err
 	}
@@ -432,7 +438,7 @@ func (g *Gateway) SubmitTraced(pr assay.Program, seed uint64, traceParent string
 		if g.tracing {
 			fwdAt = obs.Now()
 		}
-		res, err := c.member.SubmitTraced(pr, seed, ref)
+		res, err := c.member.Submit(pr, seed, ref)
 		if g.tracing {
 			g.met.forward.With(c.member.Name).Observe(obs.Since(fwdAt))
 		}
@@ -528,7 +534,7 @@ func (g *Gateway) bind(idx int, m *Member, pr assay.Program, seed uint64, key ca
 		done:     make(chan struct{}),
 		snap: service.Job{
 			ID: id, Status: service.StatusQueued, Program: pr.Name, Seed: seed,
-			Eligible: res.Eligible, Assigned: -1, Shard: -1,
+			Eligible: res.Eligible, Assigned: -1, Shard: -1, Member: m.Name,
 		},
 	}
 	if ft != nil {
@@ -740,12 +746,13 @@ func (g *Gateway) finish(j *gwJob, rj service.Job) {
 }
 
 // rewriteLocked maps a member-side snapshot into the gateway's
-// namespace: the gateway job ID replaces the remote one, and a
-// member-side dedup root is translated when this gateway routed it
-// (otherwise the provenance flag survives without the foreign ID).
-// Caller holds g.mu.
+// namespace: the gateway job ID replaces the remote one, the member
+// name is stamped on, and a member-side dedup root is translated when
+// this gateway routed it (otherwise the provenance flag survives
+// without the foreign ID). Caller holds g.mu.
 func (g *Gateway) rewriteLocked(j *gwJob, rj service.Job) service.Job {
 	rj.ID = j.id
+	rj.Member = j.member.Name
 	rj.Recovered = rj.Recovered || j.recovered
 	if rj.DedupOf != "" {
 		rj.DedupOf = g.remote[routeKey(j.member.Name, rj.DedupOf)]
@@ -800,7 +807,8 @@ func (g *Gateway) Get(id string) (service.Job, bool) {
 }
 
 // WaitTimeout blocks until the job is terminal or the timeout elapses
-// (<= 0 waits indefinitely), returning the latest snapshot.
+// (<= 0 returns at once, as on a worker), returning the latest
+// snapshot.
 func (g *Gateway) WaitTimeout(id string, timeout time.Duration) (service.Job, bool, error) {
 	g.mu.Lock()
 	j, ok := g.jobs[id]
@@ -808,19 +816,32 @@ func (g *Gateway) WaitTimeout(id string, timeout time.Duration) (service.Job, bo
 	if !ok {
 		return service.Job{}, false, fmt.Errorf("federation: wait: unknown job %q", id)
 	}
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		select {
-		case <-j.done:
-		case <-t.C:
-		}
-	} else {
-		<-j.done
+	t := time.NewTimer(timeout)
+	defer t.Stop()
+	select {
+	case <-j.done:
+	case <-t.C:
 	}
 	snap, _ := g.Get(id)
 	terminal := snap.Status == service.StatusDone || snap.Status == service.StatusFailed
 	return snap, terminal, nil
+}
+
+// List pages the gateway's routed jobs with service.List semantics —
+// ID order, status filter, exclusive After cursor, report payloads
+// stripped. Statuses reflect the latest watcher/Get snapshot, which
+// may trail the member by one poll for non-terminal jobs.
+func (g *Gateway) List(f service.ListFilter) service.ListPage {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	ids := make([]string, 0, len(g.jobs))
+	for id, j := range g.jobs {
+		if f.Status == "" || j.snap.Status == f.Status {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return service.PageJobs(ids, f, func(id string) service.Job { return g.jobs[id].snap })
 }
 
 // Draining reports whether Drain began.

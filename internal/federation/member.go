@@ -33,9 +33,8 @@ const rpcTimeout = 10 * time.Second
 
 // Member is the gateway's client for one worker daemon: the remote
 // counterpart of the local shard pool, speaking the worker's public
-// HTTP API. It satisfies service.Backend, so proxying code is written
-// once against the interface; the *Err variants expose the transport
-// errors the interface flattens.
+// HTTP API. Calls report transport failures as ErrUnreachable and a
+// job the member does not know as ErrUnknownJob.
 type Member struct {
 	// Name and Addr come from the members spec.
 	Name string
@@ -49,8 +48,6 @@ type Member struct {
 
 	client *http.Client
 }
-
-var _ service.Backend = (*Member)(nil)
 
 // NewMember builds the client for one spec entry, expanding its
 // profile declaration into die configs and cache key material.
@@ -98,31 +95,15 @@ func (m *Member) Eligible(pr assay.Program) ([]service.Profile, map[string]strin
 	return eligible, reasons
 }
 
-// errorBody mirrors the worker's JSON error envelope
-// (service.errorResponse) for client-side reconstruction of the typed
-// submission errors.
-type errorBody struct {
-	Error        string               `json:"error"`
-	Requirements *assay.Requirements  `json:"requirements,omitempty"`
-	Profiles     map[string]string    `json:"profiles,omitempty"`
-	Queued       *int                 `json:"queued,omitempty"`
-	QueueDepth   int                  `json:"queue_depth,omitempty"`
-	Backlog      []service.ClassStats `json:"backlog,omitempty"`
-}
-
-// SubmitDetail forwards one submission to the member, reconstructing
-// the worker's typed errors from its wire envelope: 422 →
-// *service.IncompatibleError, 429 → *service.QueueFullError (backlog
-// included), 503 → service.ErrDraining, 500 → service.ErrPersist.
-// Transport failures wrap ErrUnreachable.
-func (m *Member) SubmitDetail(pr assay.Program, seed uint64) (service.SubmitResult, error) {
-	return m.SubmitTraced(pr, seed, "")
-}
-
-// SubmitTraced is SubmitDetail carrying a trace parent in the
-// X-Assay-Trace header; the member records it as its root span's
-// parent, stitching the federation hop (docs/observability.md).
-func (m *Member) SubmitTraced(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
+// Submit forwards one submission to the member, carrying traceParent
+// in the X-Assay-Trace header (the member records it as its root
+// span's parent, stitching the federation hop; docs/observability.md).
+// The worker's typed errors are rebuilt from its service.ErrorBody
+// envelope: 422 → *service.IncompatibleError, 429 →
+// *service.QueueFullError (backlog included), 503 →
+// service.ErrDraining, 500 → service.ErrPersist. Transport failures
+// wrap ErrUnreachable.
+func (m *Member) Submit(pr assay.Program, seed uint64, traceParent string) (service.SubmitResult, error) {
 	body, err := json.Marshal(service.SubmitRequest{Seed: seed, Program: pr})
 	if err != nil {
 		return service.SubmitResult{}, fmt.Errorf("federation: encoding submission: %w", err)
@@ -149,7 +130,7 @@ func (m *Member) SubmitTraced(pr assay.Program, seed uint64, traceParent string)
 		}
 		return res, nil
 	}
-	var eb errorBody
+	var eb service.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
 		return service.SubmitResult{}, fmt.Errorf("%w: %s: status %d", ErrUnreachable, m.Name, resp.StatusCode)
 	}
@@ -181,12 +162,6 @@ func (m *Member) JobErr(id string) (service.Job, error) {
 	return m.getJob(m.Addr+"/v1/assays/"+url.PathEscape(id), rpcTimeout)
 }
 
-// Get implements service.Backend, flattening errors to absence.
-func (m *Member) Get(id string) (service.Job, bool) {
-	j, err := m.JobErr(id)
-	return j, err == nil
-}
-
 // WaitTimeoutErr long-polls the member until the job is terminal or
 // the timeout elapses, returning the latest snapshot either way
 // (mirroring service.WaitTimeout, plus transport errors).
@@ -200,15 +175,6 @@ func (m *Member) WaitTimeoutErr(id string, timeout time.Duration) (service.Job, 
 	// Allow headroom over the server-side window before the transport
 	// deadline fires.
 	return m.getJob(u, timeout+rpcTimeout)
-}
-
-// WaitTimeout implements service.Backend.
-func (m *Member) WaitTimeout(id string, timeout time.Duration) (service.Job, bool, error) {
-	j, err := m.WaitTimeoutErr(id, timeout)
-	if err != nil {
-		return service.Job{}, false, err
-	}
-	return j, j.Status == service.StatusDone || j.Status == service.StatusFailed, nil
 }
 
 func (m *Member) getJob(u string, timeout time.Duration) (service.Job, error) {
@@ -237,38 +203,6 @@ func (m *Member) getJob(u string, timeout time.Duration) (service.Job, error) {
 	}
 }
 
-// ListErr pages the member's job listing.
-func (m *Member) ListErr(f service.ListFilter) (service.ListPage, error) {
-	q := url.Values{}
-	if f.Status != "" {
-		q.Set("status", string(f.Status))
-	}
-	if f.After != "" {
-		q.Set("after", f.After)
-	}
-	if f.Limit > 0 {
-		q.Set("limit", strconv.Itoa(f.Limit))
-	}
-	if f.Newest {
-		q.Set("order", "desc")
-	}
-	u := m.Addr + "/v1/assays"
-	if enc := q.Encode(); enc != "" {
-		u += "?" + enc
-	}
-	var page service.ListPage
-	if err := m.getJSON(u, &page); err != nil {
-		return service.ListPage{}, err
-	}
-	return page, nil
-}
-
-// List implements service.Backend, flattening errors to an empty page.
-func (m *Member) List(f service.ListFilter) service.ListPage {
-	page, _ := m.ListErr(f)
-	return page
-}
-
 // StatsErr snapshots the member's /v1/stats.
 func (m *Member) StatsErr() (service.Stats, error) {
 	var st service.Stats
@@ -276,13 +210,6 @@ func (m *Member) StatsErr() (service.Stats, error) {
 		return service.Stats{}, err
 	}
 	return st, nil
-}
-
-// Stats implements service.Backend, flattening errors to a zero
-// snapshot.
-func (m *Member) Stats() service.Stats {
-	st, _ := m.StatsErr()
-	return st
 }
 
 // TraceErr fetches a job's span tree from the member: ErrUnknownJob on

@@ -1,15 +1,13 @@
 package federation
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/url"
 	"strconv"
-	"strings"
 
+	"biochip/internal/service"
 	"biochip/internal/stream"
 )
 
@@ -90,9 +88,9 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 		return false, err
 	}
 	defer resp.Body.Close()
-	sc := newSSEScanner(resp.Body)
+	sc := service.NewSSEReader(resp.Body)
 	for {
-		ev, ok := sc.next()
+		ev, ok := sc.Next()
 		if !ok {
 			return false, nil
 		}
@@ -162,10 +160,10 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 		return nil
 	}
 	defer resp.Body.Close()
-	sc := newSSEScanner(resp.Body)
+	sc := service.NewSSEReader(resp.Body)
 	var out []stream.Event
 	for {
-		ev, ok := sc.next()
+		ev, ok := sc.Next()
 		if !ok || ev.Seq > to {
 			return out
 		}
@@ -195,36 +193,4 @@ func (g *Gateway) SubscribeEvents(id string, after uint64) (*stream.Sub, bool) {
 		return nil, false
 	}
 	return g.mirrorFor(j).Subscribe(after), true
-}
-
-// sseScanner incrementally parses an SSE byte stream into events. Only
-// data: lines matter — the event payload is self-describing (the
-// stream.Event JSON carries its own type and sequence number).
-type sseScanner struct {
-	r *bufio.Reader
-}
-
-func newSSEScanner(r interface{ Read([]byte) (int, error) }) *sseScanner {
-	return &sseScanner{r: bufio.NewReader(r)}
-}
-
-// next returns the next decoded event, or ok false at end of stream.
-// Undecodable frames are skipped — forward compatibility over failure.
-func (s *sseScanner) next() (stream.Event, bool) {
-	for {
-		line, err := s.r.ReadString('\n')
-		if err != nil {
-			return stream.Event{}, false
-		}
-		line = strings.TrimRight(line, "\r\n")
-		if !strings.HasPrefix(line, "data:") {
-			continue
-		}
-		payload := strings.TrimSpace(strings.TrimPrefix(line, "data:"))
-		var ev stream.Event
-		if json.Unmarshal([]byte(payload), &ev) != nil {
-			continue
-		}
-		return ev, true
-	}
 }

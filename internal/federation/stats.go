@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"net/http"
 	"sort"
 	"sync"
 
@@ -222,6 +223,19 @@ func (g *Gateway) Stats() Stats {
 		gs.Store = &st
 	}
 	return Stats{Gateway: gs, Fleet: MergeStats(members), Members: members}
+}
+
+// StatsBody is the gateway's GET /v1/stats body: Stats.
+func (g *Gateway) StatsBody() any { return g.Stats() }
+
+// HealthBody is the gateway's GET /v1/healthz: the aggregated Health,
+// 503 while draining or with no member accepting work.
+func (g *Gateway) HealthBody() (int, any) {
+	h := g.AggregateHealth()
+	if h.Status == "draining" || h.Status == "unavailable" {
+		return http.StatusServiceUnavailable, h
+	}
+	return http.StatusOK, h
 }
 
 // MemberHealth is one member's row in the gateway's /v1/healthz.

@@ -215,6 +215,12 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 	return s
 }
 
+func writeJSON(w http.ResponseWriter, code int, v interface{}) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	json.NewEncoder(w).Encode(v)
+}
+
 func (s *stubMember) submitted() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -258,7 +264,7 @@ func TestPlacementPrefersLowBacklog(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := g.SubmitDetail(testProgram(6), 1000+uint64(i)); err != nil {
+		if _, err := g.Submit(testProgram(6), 1000+uint64(i), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -275,7 +281,7 @@ func TestPlacementPrefersLowBacklog(t *testing.T) {
 // job lands on the next candidate; when every member is full the
 // caller sees one merged QueueFullError.
 func TestPlacement429FallsOver(t *testing.T) {
-	fullBody := errorJSON{
+	fullBody := service.ErrorBody{
 		Error: "queue full", Queued: intp(8), QueueDepth: 8,
 		Backlog: []service.ClassStats{{Profiles: []string{"die40"}, Queued: 8}},
 	}
@@ -294,7 +300,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	res, err := g.SubmitDetail(testProgram(6), 2000)
+	res, err := g.Submit(testProgram(6), 2000, "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +309,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 	}
 	// The 429 refreshed the view: the next submission skips the full
 	// member entirely.
-	if _, err := g.SubmitDetail(testProgram(6), 2001); err != nil {
+	if _, err := g.Submit(testProgram(6), 2001, ""); err != nil {
 		t.Fatal(err)
 	}
 	if got := full.submitted(); got != 1 {
@@ -319,7 +325,7 @@ func TestPlacement429FallsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer allFull.Close()
-	_, err = allFull.SubmitDetail(testProgram(6), 2002)
+	_, err = allFull.Submit(testProgram(6), 2002, "")
 	var qf *service.QueueFullError
 	if !errors.As(err, &qf) {
 		t.Fatalf("err = %v, want QueueFullError", err)
@@ -343,7 +349,7 @@ func TestAllMembersUnreachable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	_, err = g.SubmitDetail(testProgram(6), 3000)
+	_, err = g.Submit(testProgram(6), 3000, "")
 	if !errors.Is(err, ErrNoMembers) {
 		t.Fatalf("err = %v, want ErrNoMembers", err)
 	}
@@ -407,7 +413,7 @@ func TestGatewayStatsEndToEnd(t *testing.T) {
 	g := startGateway(t, 2, die40())
 	var ids []string
 	for i := 0; i < 4; i++ {
-		res, err := g.SubmitDetail(testProgram(6), 4000+uint64(i))
+		res, err := g.Submit(testProgram(6), 4000+uint64(i), "")
 		if err != nil {
 			t.Fatal(err)
 		}

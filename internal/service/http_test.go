@@ -6,11 +6,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"biochip/internal/assay"
+	"biochip/internal/stream"
 )
 
 // TestHTTPShardedBitIdenticalToSerial is the end-to-end acceptance test:
@@ -255,7 +257,9 @@ func TestHTTPLongPoll(t *testing.T) {
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
 
-	id, err := svc.Submit(testProgram(4), 1)
+	res, err := svc.Submit(testProgram(4), 1, "")
+
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +300,9 @@ func TestHTTPLongPoll(t *testing.T) {
 		t.Errorf("long-poll held %v after completion", elapsed)
 	}
 
-	// Error surface: unknown jobs 404, malformed timeouts 400.
+	// Error surface: unknown jobs 404, malformed or non-finite timeouts
+	// 400. Huge and zero timeouts are valid (capped, or an instant
+	// check) and answer the finished job at once.
 	for _, tc := range []struct {
 		url  string
 		want int
@@ -304,6 +310,11 @@ func TestHTTPLongPoll(t *testing.T) {
 		{ts.URL + "/v1/assays/a-999999?wait=1", http.StatusNotFound},
 		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=-3", http.StatusBadRequest},
 		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=soon", http.StatusBadRequest},
+		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=NaN", http.StatusBadRequest},
+		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=Inf", http.StatusBadRequest},
+		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=-Inf", http.StatusBadRequest},
+		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=1e300", http.StatusOK},
+		{ts.URL + "/v1/assays/" + id + "?wait=1&timeout=0", http.StatusOK},
 	} {
 		resp, err := http.Get(tc.url)
 		if err != nil {
@@ -332,4 +343,52 @@ func getJob(t *testing.T, url string) Job {
 		t.Fatal(err)
 	}
 	return job
+}
+
+// FuzzSSEFraming round-trips events through the wire framing: whatever
+// writeSSE frames, the gateway's SSEReader must decode back to the same
+// event (compared as JSON, which is what the wire carries), and
+// arbitrary bytes must never make the reader panic.
+func FuzzSSEFraming(f *testing.F) {
+	f.Add(uint64(1), "job.queued", 0.0, 1.7e9, "a-000001", "", []byte("id: 1\nevent: x\ndata: {}\n\n"))
+	f.Add(uint64(0), "shutdown", 0.5, 0.0, "", "boom\nline", []byte("data: {\"type\":\"gap\"}\r\n\r\n"))
+	f.Add(uint64(7), "op.finished\ndata: {\"type\":\"evil\"}", -2.5, 3.0, "a\x00b", "\xff", []byte("data:\n\n:comment\n"))
+	f.Fuzz(func(t *testing.T, seq uint64, typ string, simT, wall float64, jobID, errText string, raw []byte) {
+		ev := stream.Event{Seq: seq, Type: typ, T: simT, Wall: wall, Err: errText}
+		if jobID != "" {
+			ev.Job = &stream.JobInfo{ID: jobID}
+		}
+		var buf bytes.Buffer
+		writeSSE(&buf, ev)
+		writeSSE(&buf, ev)
+		// The wire carries the event's JSON, so the reference is the
+		// event as the JSON codec reproduces it (invalid UTF-8 already
+		// replaced); unencodable events (NaN, Inf) are not framed at all.
+		var want stream.Event
+		raw0, err := json.Marshal(ev)
+		if err == nil {
+			err = json.Unmarshal(raw0, &want)
+		}
+		r := NewSSEReader(&buf)
+		for i := 0; err == nil && i < 2; i++ {
+			got, ok := r.Next()
+			if !ok {
+				t.Fatalf("event %d lost; wire %q", i, buf.String())
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+			}
+		}
+		if _, ok := r.Next(); ok {
+			t.Fatalf("extra event on the wire (marshal err %v)", err)
+		}
+
+		r = NewSSEReader(bytes.NewReader(raw))
+		for n := 0; n <= len(raw); n++ {
+			if _, ok := r.Next(); !ok {
+				return
+			}
+		}
+		t.Fatalf("reader yielded more events than input bytes")
+	})
 }

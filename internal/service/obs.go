@@ -1,8 +1,8 @@
 package service
 
 // Observability wiring: metric handles and per-job span traces
-// (internal/obs), plus the /v1/metrics and /v1/assays/{id}/trace
-// endpoints. Everything here is out-of-band telemetry — when
+// (internal/obs), plus the bodies of the /v1/metrics and
+// /v1/assays/{id}/trace endpoints. Everything here is out-of-band telemetry — when
 // Config.Obs is nil every handle below is a nil no-op, and the
 // determinism contract requires (and CI verifies) that reports and
 // event streams are bit-identical either way. The obspurity detlint
@@ -10,7 +10,6 @@ package service
 // cache keys; see docs/observability.md.
 
 import (
-	"net/http"
 	"sync"
 
 	"biochip/internal/obs"
@@ -43,10 +42,6 @@ func newSvcMetrics(reg *obs.Registry) svcMetrics {
 	}
 }
 
-// Metrics returns the registry the service was built with (nil when
-// observability is disabled); assayd hands it to auxiliary listeners.
-func (s *Service) Metrics() *obs.Registry { return s.cfg.Obs }
-
 // Trace returns the wire snapshot of a job's span ring. The second
 // result is false for unknown jobs and for jobs without a trace
 // (observability disabled, or a job recovered from the durable log —
@@ -64,26 +59,8 @@ func (s *Service) Trace(id string) (obs.TraceDoc, bool) {
 // buildInfo memoizes the binary's build identity for /v1/healthz.
 var buildInfo = sync.OnceValues(obs.BuildInfo)
 
-// handleMetrics serves GET /v1/metrics as Prometheus text exposition.
-// 404 when observability is disabled, so scrapers fail loudly instead
-// of graphing an empty daemon.
-func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	reg := s.cfg.Obs
-	if reg == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "observability disabled"})
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_ = reg.WriteProm(w)
-}
-
-// handleTrace serves GET /v1/assays/{id}/trace: the job's span tree.
-func (s *Service) handleTrace(w http.ResponseWriter, r *http.Request) {
-	doc, ok := s.Trace(r.PathValue("id"))
-	if !ok {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no trace for job"})
-		return
-	}
-	writeJSON(w, http.StatusOK, doc)
+// MetricFamilies gathers the worker's /v1/metrics exposition; false
+// when observability is disabled.
+func (s *Service) MetricFamilies() ([]obs.MetricFamily, bool) {
+	return s.cfg.Obs.Gather(), s.cfg.Obs != nil
 }

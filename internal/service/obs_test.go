@@ -31,7 +31,7 @@ func TestObsBitIdentical(t *testing.T) {
 		defer svc.Close()
 		var ids []string
 		for _, b := range batch {
-			res, err := svc.SubmitDetail(testProgram(b.cells), b.seed)
+			res, err := svc.Submit(testProgram(b.cells), b.seed, "")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,7 +161,8 @@ func TestObsEndpoints(t *testing.T) {
 	defer off.Close()
 	offSrv := httptest.NewServer(off.Handler())
 	defer offSrv.Close()
-	id, err := off.Submit(testProgram(6), 1)
+	res, err := off.Submit(testProgram(6), 1, "")
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,7 +75,8 @@ func TestCrashRecoveryServedFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(pr, seed)
+	res, err := svc.Submit(pr, seed, "")
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,8 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 	}
 	var ids []string
 	for i := 0; i < 3; i++ {
-		id, err := svc.Submit(pr, 100+uint64(i))
+		res, err := svc.Submit(pr, 100+uint64(i), "")
+		id := res.ID
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,7 +273,8 @@ func TestCloseWithoutDrainRecovery(t *testing.T) {
 		}
 	}
 	// New submissions continue the ID sequence past the recovered jobs.
-	next, err := svc2.Submit(pr, 9)
+	res, err := svc2.Submit(pr, 9, "")
+	next := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +301,8 @@ func TestDurableBackfillNoGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc.Close()
-	id, err := svc.Submit(testProgram(10), 7)
+	res, err := svc.Submit(testProgram(10), 7, "")
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +341,8 @@ func TestRecoveryIncompatibleFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := svc.Submit(pr, 5)
+	res, err := svc.Submit(pr, 5, "")
+	id := res.ID
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,6 +213,9 @@ type Job struct {
 	DedupOf  string        `json:"dedup_of,omitempty"`
 	Error    string        `json:"error,omitempty"`
 	Report   *assay.Report `json:"report,omitempty"`
+	// Member names the worker a federation gateway routed the job to
+	// (docs/federation.md); always empty on a worker.
+	Member string `json:"member,omitempty"`
 
 	pr   assay.Program
 	done chan struct{}
@@ -470,19 +473,6 @@ func (s *Service) ProfileConfig(name string) (chip.Config, bool) {
 		}
 	}
 	return chip.Config{}, false
-}
-
-// Submit places the program on the fleet and enqueues it for execution
-// under the given seed, returning the job ID. A malformed program
-// (assay.CheckOps) fails outright; a well-formed program that no
-// profile can satisfy fails with *IncompatibleError; a full queue fails
-// fast with *QueueFullError (errors.Is-compatible with ErrQueueFull); a
-// closed service with ErrClosed. A submission the result cache can
-// answer — content-identical to a finished or in-flight job — returns
-// without executing; SubmitDetail exposes the provenance.
-func (s *Service) Submit(pr assay.Program, seed uint64) (string, error) {
-	res, err := s.SubmitDetail(pr, seed)
-	return res.ID, err
 }
 
 // place evaluates the program's effective requirements and full check

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"slices"
 	"sort"
 
 	"biochip/internal/stream"
@@ -86,6 +87,25 @@ type ListPage struct {
 // (submission order, or newest-first with Newest). Snapshots omit the
 // report payloads so a busy service can be listed cheaply.
 func (s *Service) List(f ListFilter) ListPage {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	ids := make([]string, 0, len(s.jobs))
+	for id, j := range s.jobs {
+		if f.Status == "" || j.Status == f.Status {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return PageJobs(ids, f, func(id string) Job { return *s.jobs[id] })
+}
+
+// PageJobs is the listing pager both roles share. ids are the jobs that
+// passed the status filter, sorted ascending (zero-padded sequence
+// numbers, so string order is submission order); PageJobs applies the
+// filter's order and cursor and snapshots each listed job through get,
+// report stripped — listings are summaries; fetch the job for the
+// report.
+func PageJobs(ids []string, f ListFilter, get func(id string) Job) ListPage {
 	limit := f.Limit
 	if limit <= 0 {
 		limit = DefaultListLimit
@@ -93,48 +113,34 @@ func (s *Service) List(f ListFilter) ListPage {
 	if limit > MaxListLimit {
 		limit = MaxListLimit
 	}
-
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.jobs))
-	for id, j := range s.jobs {
-		if f.Status != "" && j.Status != f.Status {
-			continue
-		}
-		ids = append(ids, id)
-	}
-	// Job IDs are zero-padded sequence numbers, so the string order is
-	// the submission order.
-	sort.Strings(ids)
 	if f.Newest {
-		for i, k := 0, len(ids)-1; i < k; i, k = i+1, k-1 {
-			ids[i], ids[k] = ids[k], ids[i]
-		}
+		slices.Reverse(ids)
 	}
 	start := 0
 	if f.After != "" {
+		// Unknown cursors still page deterministically: the page starts
+		// at the first ID past the cursor in listing order.
+		start = len(ids)
 		for i, id := range ids {
 			if id == f.After {
 				start = i + 1
 				break
 			}
-			// Unknown cursors still page deterministically: start at the
-			// first ID past the cursor in listing order.
 			if (!f.Newest && id > f.After) || (f.Newest && id < f.After) {
 				start = i
 				break
 			}
-			start = i + 1
 		}
 	}
-	page := ListPage{Jobs: []Job{}}
-	for i := start; i < len(ids) && len(page.Jobs) < limit; i++ {
-		j := *s.jobs[ids[i]]
-		j.Report = nil // listings are summaries; fetch the job for the report
+	end := min(start+limit, len(ids))
+	page := ListPage{Jobs: make([]Job, 0, end-start)}
+	for _, id := range ids[start:end] {
+		j := get(id)
+		j.Report = nil
 		page.Jobs = append(page.Jobs, j)
 	}
-	if n := len(page.Jobs); n > 0 && start+n < len(ids) {
-		page.Next = page.Jobs[n-1].ID
+	if end < len(ids) && end > start {
+		page.Next = ids[end-1]
 	}
-	s.mu.Unlock()
 	return page
 }
