@@ -4,72 +4,38 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
-	"time"
 
 	"biochip/internal/assay"
 	"biochip/internal/chip"
-	"biochip/internal/geom"
-	"biochip/internal/particle"
 	"biochip/internal/service"
 	"biochip/internal/table"
 )
 
-// e15Program is the capture-scan workload the cache experiment batches.
-func e15Program(cells int) assay.Program {
-	return assay.Program{
-		Name: "cache-capture-scan",
-		Ops: []assay.Op{
-			assay.Load{Kind: particle.ViableCell(), Count: cells},
-			assay.Settle{},
-			assay.Capture{},
-			assay.Scan{Averaging: 8},
-			assay.Gather{Anchor: geom.C(1, 1)},
-			assay.Scan{Averaging: 8},
-			assay.ReleaseAll{},
-		},
-	}
-}
-
 // e15Batch runs one duplicate-heavy batch: jobs submissions over
 // distinct seeds (seed i%distinct), so each distinct result is asked
 // for jobs/distinct times. It returns the batch wall-clock, the final
-// service stats, and one report per seed for bit-identity checks.
-func e15Batch(cfg chip.Config, shards, jobs, distinct, cells int, disable bool) (float64, service.Stats, map[uint64]*assay.Report, error) {
+// service stats and the terminal jobs in submit order, after checking
+// that every duplicate's report is bit-identical to its first run.
+func e15Batch(cfg chip.Config, shards, jobs, distinct, cells int, disable bool) (float64, service.Stats, []service.Job, error) {
 	svc, err := service.New(service.Config{Shards: shards, Chip: cfg,
 		Cache: service.CacheConfig{Disable: disable}})
 	if err != nil {
 		return 0, service.Stats{}, nil, err
 	}
 	defer svc.Close()
-	pr := e15Program(cells)
-	start := time.Now()
-	ids := make([]string, jobs)
-	seeds := make([]uint64, jobs)
-	for i := range ids {
-		seeds[i] = seedBase(15) + uint64(i%distinct)
-		res, err := svc.Submit(pr, seeds[i], "")
-		if err != nil {
-			return 0, service.Stats{}, nil, err
-		}
-		ids[i] = res.ID
+	pr := captureScan("cache-capture-scan", cells)
+	done, elapsed, err := runBatch(svc, jobs, func(i int) (assay.Program, uint64) {
+		return pr, seedBase(15) + uint64(i%distinct)
+	})
+	if err != nil {
+		return 0, service.Stats{}, nil, err
 	}
-	reports := make(map[uint64]*assay.Report, distinct)
-	for i, id := range ids {
-		j, err := svc.Wait(id)
-		if err != nil {
-			return 0, service.Stats{}, nil, err
-		}
-		if j.Status != service.StatusDone {
-			return 0, service.Stats{}, nil, fmt.Errorf("experiments: job %s: %s (%s)", id, j.Status, j.Error)
-		}
-		if ref, ok := reports[seeds[i]]; !ok {
-			reports[seeds[i]] = j.Report
-		} else if !reflect.DeepEqual(ref, j.Report) {
-			return 0, service.Stats{}, nil, fmt.Errorf("experiments: seed %d: duplicate report differs", seeds[i])
+	for i, j := range done {
+		if !reflect.DeepEqual(done[i%distinct].Report, j.Report) {
+			return 0, service.Stats{}, nil, fmt.Errorf("experiments: seed %d: duplicate report differs", j.Seed)
 		}
 	}
-	elapsed := time.Since(start).Seconds()
-	return elapsed, svc.Stats(), reports, nil
+	return elapsed, svc.Stats(), done, nil
 }
 
 // e15DupRates are the duplicate fractions of the batch, in percent.
@@ -102,10 +68,7 @@ func E15CacheThroughput(scale Scale) (*table.Table, error) {
 	if scale == Quick {
 		side, cells, jobs, shards = 32, 6, 20, 2
 	}
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1
+	cfg := fleetDie(side)
 
 	t := table.New(
 		fmt.Sprintf("E15 — result cache: %d-job batches on %d shards of %d×%d dies, %d-core host",
@@ -113,19 +76,17 @@ func E15CacheThroughput(scale Scale) (*table.Table, error) {
 		"duplicates", "cache", "wall ms", "jobs/s", "executed", "hits", "coalesced", "speedup", "identical")
 	for _, dup := range e15DupRates {
 		distinct := e15Distinct(jobs, dup)
-		offWall, offStats, offReports, err := e15Batch(cfg, shards, jobs, distinct, cells, true)
+		offWall, offStats, offJobs, err := e15Batch(cfg, shards, jobs, distinct, cells, true)
 		if err != nil {
 			return nil, err
 		}
-		onWall, onStats, onReports, err := e15Batch(cfg, shards, jobs, distinct, cells, false)
+		onWall, onStats, onJobs, err := e15Batch(cfg, shards, jobs, distinct, cells, false)
 		if err != nil {
 			return nil, err
 		}
 		identical := "yes"
-		for seed, ref := range offReports {
-			if !reflect.DeepEqual(ref, onReports[seed]) {
-				identical = "NO"
-			}
+		if !sameReports(offJobs, onJobs) {
+			identical = "NO"
 		}
 		var hits, coalesced uint64
 		executedOn := uint64(jobs)
@@ -155,54 +116,4 @@ func E15CacheThroughput(scale Scale) (*table.Table, error) {
 	}
 	t.Note("shape: a duplicate costs a key lookup instead of a simulation, so speedup approaches 1/(1-dup): ~1x at 0%% duplicates, ≥5x at 90%%; reports stay bit-identical to cache-off runs throughout (the determinism contract makes whole-assay memoization sound)")
 	return t, nil
-}
-
-// CacheTiming is one duplicate rate's cache-on/cache-off timing — the
-// "cache" section of the BENCH.json artifact.
-type CacheTiming struct {
-	DupPercent       int     `json:"dup_percent"`
-	Jobs             int     `json:"jobs"`
-	JobsPerSecondOff float64 `json:"jobs_per_second_off"`
-	JobsPerSecondOn  float64 `json:"jobs_per_second_on"`
-	Speedup          float64 `json:"speedup"`
-	Hits             uint64  `json:"hits"`
-	Coalesced        uint64  `json:"coalesced"`
-}
-
-// CacheTimings runs the E15 duplicate-rate sweep for the BENCH.json
-// timing artifact.
-func CacheTimings(scale Scale) ([]CacheTiming, error) {
-	side, cells, jobs, shards := 48, 12, 40, 4
-	if scale == Quick {
-		side, cells, jobs, shards = 32, 6, 20, 2
-	}
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1
-
-	out := make([]CacheTiming, 0, len(e15DupRates))
-	for _, dup := range e15DupRates {
-		distinct := e15Distinct(jobs, dup)
-		offWall, _, _, err := e15Batch(cfg, shards, jobs, distinct, cells, true)
-		if err != nil {
-			return nil, err
-		}
-		onWall, onStats, _, err := e15Batch(cfg, shards, jobs, distinct, cells, false)
-		if err != nil {
-			return nil, err
-		}
-		ct := CacheTiming{
-			DupPercent:       dup,
-			Jobs:             jobs,
-			JobsPerSecondOff: float64(jobs) / offWall,
-			JobsPerSecondOn:  float64(jobs) / onWall,
-			Speedup:          offWall / onWall,
-		}
-		if c := onStats.Cache; c != nil {
-			ct.Hits, ct.Coalesced = c.Hits+c.DiskHits, c.Coalesced
-		}
-		out = append(out, ct)
-	}
-	return out, nil
 }

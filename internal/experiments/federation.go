@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"net"
 	"net/http"
-	"reflect"
 	"runtime"
 	"time"
 
 	"biochip/internal/assay"
 	"biochip/internal/federation"
-	"biochip/internal/geom"
 	"biochip/internal/particle"
 	"biochip/internal/service"
 	"biochip/internal/table"
@@ -45,18 +43,7 @@ func e16Program(i, cells int) assay.Program {
 			},
 		}
 	default:
-		return assay.Program{
-			Name: "fed-capture-scan",
-			Ops: []assay.Op{
-				assay.Load{Kind: particle.ViableCell(), Count: cells},
-				assay.Settle{},
-				assay.Capture{},
-				assay.Scan{Averaging: 8},
-				assay.Gather{Anchor: geom.C(1, 1)},
-				assay.Scan{Averaging: 8},
-				assay.ReleaseAll{},
-			},
-		}
+		return captureScan("fed-capture-scan", cells)
 	}
 }
 
@@ -80,49 +67,21 @@ func e16Profile(side int) []service.FleetProfileSpec {
 // e16Reference runs the mixed batch on one plain in-process service —
 // the single-node ground truth the federated runs must reproduce
 // bit-for-bit.
-func e16Reference(profiles []service.FleetProfileSpec, jobs, cells int) ([]*assay.Report, error) {
+func e16Reference(profiles []service.FleetProfileSpec, jobs int, job func(int) (assay.Program, uint64)) ([]service.Job, error) {
 	svc, err := service.New(service.FleetSpec{Profiles: profiles}.ServiceConfig())
 	if err != nil {
 		return nil, err
 	}
 	defer svc.Close()
-	ids := make([]string, jobs)
-	for i := range ids {
-		res, err := svc.Submit(e16Program(i, cells), seedBase(16)+uint64(i), "")
-		id := res.ID
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	reports := make([]*assay.Report, jobs)
-	for i, id := range ids {
-		j, err := svc.Wait(id)
-		if err != nil {
-			return nil, err
-		}
-		if j.Status != service.StatusDone {
-			return nil, fmt.Errorf("experiments: reference job %s: %s (%s)", id, j.Status, j.Error)
-		}
-		reports[i] = j.Report
-	}
-	return reports, nil
-}
-
-// e16Point is one fleet size's measurement.
-type e16Point struct {
-	workers   int
-	jobs      int
-	elapsed   float64
-	forwarded uint64
-	identical bool
+	done, _, err := runBatch(svc, jobs, job)
+	return done, err
 }
 
 // e16Batch runs the mixed batch through a federation gateway fronting n
 // in-process worker daemons, each a full assayd service behind a real
-// HTTP listener on the loopback interface.
-func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16Point, []*assay.Report, error) {
-	pt := e16Point{workers: n, jobs: jobs}
+// HTTP listener on the loopback interface. It returns the batch
+// wall-clock, the gateway's forwarded count and the terminal jobs.
+func e16Batch(n int, profiles []service.FleetProfileSpec, jobs int, job func(int) (assay.Program, uint64)) (float64, uint64, []service.Job, error) {
 	var cleanup []func()
 	defer func() {
 		for i := len(cleanup) - 1; i >= 0; i-- {
@@ -133,12 +92,12 @@ func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16P
 	for i := 0; i < n; i++ {
 		svc, err := service.New(service.FleetSpec{Profiles: profiles}.ServiceConfig())
 		if err != nil {
-			return pt, nil, err
+			return 0, 0, nil, err
 		}
 		cleanup = append(cleanup, svc.Close)
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			return pt, nil, err
+			return 0, 0, nil, err
 		}
 		srv := &http.Server{Handler: svc.Handler()}
 		go srv.Serve(ln)
@@ -151,62 +110,14 @@ func e16Batch(n int, profiles []service.FleetProfileSpec, jobs, cells int) (e16P
 	}
 	g, err := federation.New(federation.Config{Members: specs, PollInterval: 25 * time.Millisecond})
 	if err != nil {
-		return pt, nil, err
+		return 0, 0, nil, err
 	}
 	cleanup = append(cleanup, g.Close)
-
-	start := time.Now()
-	ids := make([]string, jobs)
-	for i := range ids {
-		res, err := g.Submit(e16Program(i, cells), seedBase(16)+uint64(i), "")
-		if err != nil {
-			return pt, nil, err
-		}
-		ids[i] = res.ID
-	}
-	reports := make([]*assay.Report, jobs)
-	for i, id := range ids {
-		j, ok, err := g.WaitTimeout(id, 5*time.Minute)
-		if err != nil || !ok {
-			return pt, nil, fmt.Errorf("experiments: federated job %s: %v", id, err)
-		}
-		if j.Status != service.StatusDone {
-			return pt, nil, fmt.Errorf("experiments: federated job %s: %s (%s)", id, j.Status, j.Error)
-		}
-		reports[i] = j.Report
-	}
-	pt.elapsed = time.Since(start).Seconds()
-	pt.forwarded = g.Stats().Gateway.Forwarded
-	return pt, reports, nil
-}
-
-// e16Scales is the fleet-size sweep.
-var e16Scales = []int{1, 2, 4}
-
-// e16Run measures the sweep and checks every federated report against
-// the single-node reference.
-func e16Run(scale Scale) ([]e16Point, error) {
-	side, cells, jobs := e16Params(scale)
-	profiles := e16Profile(side)
-	ref, err := e16Reference(profiles, jobs, cells)
+	done, elapsed, err := runBatch(g, jobs, job)
 	if err != nil {
-		return nil, err
+		return 0, 0, nil, err
 	}
-	pts := make([]e16Point, 0, len(e16Scales))
-	for _, n := range e16Scales {
-		pt, reports, err := e16Batch(n, profiles, jobs, cells)
-		if err != nil {
-			return nil, err
-		}
-		pt.identical = true
-		for i := range ref {
-			if !reflect.DeepEqual(ref[i], reports[i]) {
-				pt.identical = false
-			}
-		}
-		pts = append(pts, pt)
-	}
-	return pts, nil
+	return elapsed, g.Stats().Gateway.Forwarded, done, nil
 }
 
 // E16Federation measures the federation gateway (internal/federation,
@@ -220,8 +131,12 @@ func e16Run(scale Scale) ([]e16Point, error) {
 // the result bits — each federated report must be bit-identical to the
 // single-node run of the same batch.
 func E16Federation(scale Scale) (*table.Table, error) {
-	side, _, jobs := e16Params(scale)
-	pts, err := e16Run(scale)
+	side, cells, jobs := e16Params(scale)
+	profiles := e16Profile(side)
+	job := func(i int) (assay.Program, uint64) {
+		return e16Program(i, cells), seedBase(16) + uint64(i)
+	}
+	ref, err := e16Reference(profiles, jobs, job)
 	if err != nil {
 		return nil, err
 	}
@@ -229,51 +144,28 @@ func E16Federation(scale Scale) (*table.Table, error) {
 		fmt.Sprintf("E16 — federated gateway: %d-job mixed batch over worker fleets of %d×%d dies, %d-core host",
 			jobs, side, side, runtime.GOMAXPROCS(0)),
 		"workers", "wall ms", "jobs/s", "speedup", "forwarded", "identical")
-	base := pts[0].elapsed
-	for _, pt := range pts {
+	base := 0.0
+	for _, n := range []int{1, 2, 4} {
+		elapsed, forwarded, done, err := e16Batch(n, profiles, jobs, job)
+		if err != nil {
+			return nil, err
+		}
+		if base == 0 {
+			base = elapsed
+		}
 		identical := "yes"
-		if !pt.identical {
+		if !sameReports(ref, done) {
 			identical = "NO"
 		}
 		t.AddRow(
-			fmt.Sprintf("%d", pt.workers),
-			fmt.Sprintf("%.0f", 1000*pt.elapsed),
-			fmt.Sprintf("%.1f", float64(pt.jobs)/pt.elapsed),
-			fmt.Sprintf("%.2fx", base/pt.elapsed),
-			fmt.Sprintf("%d", pt.forwarded),
+			fmt.Sprintf("%d", n),
+			fmt.Sprintf("%.0f", 1000*elapsed),
+			fmt.Sprintf("%.1f", float64(jobs)/elapsed),
+			fmt.Sprintf("%.2fx", base/elapsed),
+			fmt.Sprintf("%d", forwarded),
 			identical,
 		)
 	}
 	t.Note("shape: members are independent daemons, so federated speedup tracks min(workers, host cores) exactly as e11's shard scaling does; workers here share one process, so a single-core host shows only the gateway's small proxying overhead while a multi-core host shows the multiplier; reports stay bit-identical to the single-node run throughout — determinism makes the placement decision invisible in the bits")
 	return t, nil
-}
-
-// FederationTiming is one fleet size's federated-batch timing — the
-// "federation" section of the BENCH.json artifact.
-type FederationTiming struct {
-	Workers       int     `json:"workers"`
-	Jobs          int     `json:"jobs"`
-	JobsPerSecond float64 `json:"jobs_per_second"`
-	Speedup       float64 `json:"speedup"`
-	Identical     bool    `json:"identical"`
-}
-
-// FederationTimings runs the E16 fleet-size sweep for the BENCH.json
-// timing artifact.
-func FederationTimings(scale Scale) ([]FederationTiming, error) {
-	pts, err := e16Run(scale)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]FederationTiming, 0, len(pts))
-	for _, pt := range pts {
-		out = append(out, FederationTiming{
-			Workers:       pt.workers,
-			Jobs:          pt.jobs,
-			JobsPerSecond: float64(pt.jobs) / pt.elapsed,
-			Speedup:       pts[0].elapsed / pt.elapsed,
-			Identical:     pt.identical,
-		})
-	}
-	return out, nil
 }

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"biochip/internal/assay"
-	"biochip/internal/chip"
-	"biochip/internal/geom"
-	"biochip/internal/particle"
 	"biochip/internal/service"
 	"biochip/internal/table"
 )
@@ -36,20 +32,8 @@ func E13HeterogeneousFleet(scale Scale) (*table.Table, error) {
 	smallDie := fleetDie(smallSide)
 	largeDie := fleetDie(largeSide)
 
-	smallPr := assay.Program{
-		Name: "fleet-small",
-		Ops: []assay.Op{
-			assay.Load{Kind: particle.ViableCell(), Count: cells},
-			assay.Settle{},
-			assay.Capture{},
-			assay.Scan{Averaging: 8},
-			assay.Gather{Anchor: geom.C(1, 1)},
-			assay.Scan{Averaging: 8},
-			assay.ReleaseAll{},
-		},
-	}
-	largePr := smallPr
-	largePr.Name = "fleet-large"
+	smallPr := captureScan("fleet-small", cells)
+	largePr := captureScan("fleet-large", cells)
 	largePr.Requirements = &assay.Requirements{MinCols: largeSide, MinRows: largeSide}
 
 	fleets := []struct {
@@ -81,47 +65,27 @@ func E13HeterogeneousFleet(scale Scale) (*table.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		type sub struct {
-			id    string
-			large bool
-		}
-		subs := make([]sub, 0, smallJobs+largeJobs)
-		for i := 0; i < smallJobs+largeJobs; i++ {
+		done, elapsed, err := runBatch(svc, smallJobs+largeJobs, func(i int) (assay.Program, uint64) {
 			pr := smallPr
 			if i >= smallJobs {
 				pr = largePr
 			}
-			res, err := svc.Submit(pr, seedBase(13)+uint64(i), "")
-			id := res.ID
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			subs = append(subs, sub{id: id, large: i >= smallJobs})
+			return pr, seedBase(13) + uint64(i)
+		})
+		st := svc.Stats()
+		svc.Close()
+		if err != nil {
+			return nil, err
 		}
 		smallOnSmall := 0
-		for _, su := range subs {
-			j, err := svc.Wait(su.id)
-			if err != nil {
-				svc.Close()
-				return nil, err
+		for i, j := range done {
+			if i >= smallJobs && j.Profile != "large" {
+				return nil, fmt.Errorf("experiments: large job %s placed on %q", j.ID, j.Profile)
 			}
-			if j.Status != service.StatusDone {
-				svc.Close()
-				return nil, fmt.Errorf("experiments: job %s: %s (%s)", su.id, j.Status, j.Error)
-			}
-			if su.large && j.Profile != "large" {
-				svc.Close()
-				return nil, fmt.Errorf("experiments: large job %s placed on %q", su.id, j.Profile)
-			}
-			if !su.large && j.Profile == "small" {
+			if i < smallJobs && j.Profile == "small" {
 				smallOnSmall++
 			}
 		}
-		elapsed := time.Since(start).Seconds()
-		st := svc.Stats()
-		svc.Close()
 		var stolen uint64
 		for _, ps := range st.Profiles {
 			stolen += ps.Stolen
@@ -140,14 +104,4 @@ func E13HeterogeneousFleet(scale Scale) (*table.Table, error) {
 	}
 	t.Note("shape: both fleets run the same batch with the same per-job results; the homogeneous pool wastes large dies on small jobs (more sites to program/settle/scan), so its relative wall-clock (vs the heterogeneous fleet's 1.00x) exceeds 1 — capability-aware placement is the win")
 	return t, nil
-}
-
-// fleetDie builds a square die config for fleet experiments: serial
-// per-die loops (the fleet owns the cores) and row-parallel readout.
-func fleetDie(side int) chip.Config {
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1
-	return cfg
 }

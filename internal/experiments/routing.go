@@ -113,8 +113,8 @@ func e12Scale(scale Scale) (grid, agents, radius int) {
 }
 
 // e12LocalProblem is the low-congestion standard instance: sparse local
-// traffic on the paper-scale array, the partitioning sweet spot. It is
-// both E12's headline row and the BENCH.json routing workload.
+// traffic on the paper-scale array, the partitioning sweet spot and
+// E12's headline row.
 func e12LocalProblem(scale Scale) (route.Problem, error) {
 	grid, agents, radius := e12Scale(scale)
 	return route.LocalProblem(grid, grid, agents, radius, seedBase(12))
@@ -216,43 +216,4 @@ func E12PartitionedRouting(scale Scale) (*table.Table, error) {
 	}
 	t.Note("shape: many clusters → confined sub-searches and parallel fan-out beat one global table (≥2x on the low-congestion paper-scale instance); one cluster → direct delegation to the serial planner")
 	return t, nil
-}
-
-// RouteTiming is one planner's timing on the standard E12 low-congestion
-// instance — the "routing" section of the BENCH.json artifact.
-type RouteTiming struct {
-	Planner  string  `json:"planner"`
-	Agents   int     `json:"agents"`
-	Solved   bool    `json:"solved"`
-	Makespan int     `json:"makespan"`
-	Seconds  float64 `json:"seconds"`
-}
-
-// RoutingTimings times every registered planner family on the E12
-// low-congestion instance, for the BENCH.json timing artifact.
-func RoutingTimings(scale Scale) ([]RouteTiming, error) {
-	prob, err := e12LocalProblem(scale)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]RouteTiming, 0, 4)
-	for _, name := range []string{"greedy", "windowed", "prioritized", "partitioned"} {
-		pl, err := route.PlannerByName(name)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		plan, err := planOrPartial(pl, prob)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, RouteTiming{
-			Planner:  name,
-			Agents:   len(prob.Agents),
-			Solved:   plan.Solved,
-			Makespan: plan.Makespan,
-			Seconds:  time.Since(start).Seconds(),
-		})
-	}
-	return out, nil
 }

@@ -3,12 +3,8 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"time"
 
 	"biochip/internal/assay"
-	"biochip/internal/chip"
-	"biochip/internal/geom"
-	"biochip/internal/particle"
 	"biochip/internal/service"
 	"biochip/internal/table"
 )
@@ -28,23 +24,7 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 	if scale == Quick {
 		side, cells, jobs = 32, 6, 6
 	}
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1 // shards own the cores; dies run serially
-
-	pr := assay.Program{
-		Name: "svc-capture-scan",
-		Ops: []assay.Op{
-			assay.Load{Kind: particle.ViableCell(), Count: cells},
-			assay.Settle{},
-			assay.Capture{},
-			assay.Scan{Averaging: 8},
-			assay.Gather{Anchor: geom.C(1, 1)},
-			assay.Scan{Averaging: 8},
-			assay.ReleaseAll{},
-		},
-	}
+	pr := captureScan("svc-capture-scan", cells)
 
 	t := table.New(
 		fmt.Sprintf("E11 — sharded assay service: %d jobs on %d×%d dies, %d-core host",
@@ -52,37 +32,22 @@ func E11ServiceScaling(scale Scale) (*table.Table, error) {
 		"shards", "wall ms", "jobs/s", "speedup", "stolen", "scan errors")
 	base := 0.0
 	for _, shards := range []int{1, 2, 4} {
-		svc, err := service.New(service.Config{Shards: shards, Chip: cfg})
+		svc, err := service.New(service.Config{Shards: shards, Chip: fleetDie(side)})
 		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		ids := make([]string, jobs)
-		for i := range ids {
-			res, err := svc.Submit(pr, seedBase(11)+uint64(i), "")
-			id := res.ID
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			ids[i] = id
-		}
-		scanErrors := 0
-		for _, id := range ids {
-			j, err := svc.Wait(id)
-			if err != nil {
-				svc.Close()
-				return nil, err
-			}
-			if j.Status != service.StatusDone {
-				svc.Close()
-				return nil, fmt.Errorf("experiments: job %s: %s (%s)", id, j.Status, j.Error)
-			}
-			scanErrors += j.Report.ScanErrors
-		}
-		elapsed := time.Since(start).Seconds()
+		done, elapsed, err := runBatch(svc, jobs, func(i int) (assay.Program, uint64) {
+			return pr, seedBase(11) + uint64(i)
+		})
 		st := svc.Stats()
 		svc.Close()
+		if err != nil {
+			return nil, err
+		}
+		scanErrors := 0
+		for _, j := range done {
+			scanErrors += j.Report.ScanErrors
+		}
 		var stolen uint64
 		for _, sh := range st.PerShard {
 			stolen += sh.Stolen

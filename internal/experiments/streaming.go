@@ -29,10 +29,7 @@ func E14StreamingOverhead(scale Scale) (*table.Table, error) {
 	if scale == Quick {
 		side, cells, rounds, reps = 32, 6, 2, 2
 	}
-	cfg := chip.DefaultConfig()
-	cfg.Array.Cols, cfg.Array.Rows = side, side
-	cfg.SensorParallelism = side
-	cfg.Parallelism = 1
+	cfg := fleetDie(side)
 	cfg.Seed = seedBase(14)
 
 	// Long multi-scan assay: alternate gathers between two anchors with

@@ -1,8 +1,12 @@
 package obs
 
 import (
+	"bytes"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestExpositionRoundTrip pins the writer output shape and that the
@@ -223,4 +227,39 @@ func TestBuildInfo(t *testing.T) {
 	if b.GoVersion == "" {
 		t.Fatalf("build info has no Go version: %+v", b)
 	}
+}
+
+// FuzzExposition holds the gateway's scrape round trip: arbitrary bytes
+// never panic the parser, and writing then re-parsing families whose
+// help and label values are arbitrary UTF-8 gives them back unchanged.
+func FuzzExposition(f *testing.F) {
+	f.Add("a\\b\nc", "x\ty\x01", 1.5, []byte("# HELP m h\n# TYPE m gauge\nm{k=\"v\"} 1\n"))
+	f.Add(" trailing \r", "q\"uo\\te\n", -0.25, []byte("m{k=\"\\\"} 1 2\n# HELP m \\\n"))
+	f.Fuzz(func(t *testing.T, help, label string, v float64, raw []byte) {
+		ParseExposition(bytes.NewReader(raw)) // must not panic; errors are fine
+		if !utf8.ValidString(help) || !utf8.ValidString(label) || math.IsNaN(v) {
+			return
+		}
+		want := []MetricFamily{
+			{Name: "fuzz_level", Help: help, Type: "gauge", Samples: []Sample{{
+				Name:   "fuzz_level",
+				Labels: []Label{{Name: "k", Value: label}, {Name: "h", Value: help}},
+				Value:  v,
+			}}},
+			{Name: "fuzz_events_total", Help: label, Type: "counter", Samples: []Sample{
+				{Name: "fuzz_events_total", Value: v},
+			}},
+		}
+		var b bytes.Buffer
+		if err := WriteExposition(&b, want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseExposition(bytes.NewReader(b.Bytes()))
+		if err != nil {
+			t.Fatalf("parse of own output: %v\n%s", err, b.String())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("round trip changed families:\n got %+v\nwant %+v\nwire %q", got, want, b.String())
+		}
+	})
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -42,7 +43,7 @@ func WriteExposition(w io.Writer, fams []MetricFamily) error {
 	bw := bufio.NewWriter(w)
 	for _, mf := range fams {
 		if mf.Help != "" {
-			fmt.Fprintf(bw, "# HELP %s %s\n", mf.Name, escapeHelp(mf.Help))
+			fmt.Fprintf(bw, "# HELP %s %s\n", mf.Name, helpEscaper.Replace(mf.Help))
 		}
 		typ := mf.Type
 		if typ == "" {
@@ -57,7 +58,10 @@ func WriteExposition(w io.Writer, fams []MetricFamily) error {
 					if i > 0 {
 						bw.WriteByte(',')
 					}
-					fmt.Fprintf(bw, "%s=%q", l.Name, l.Value)
+					bw.WriteString(l.Name)
+					bw.WriteString(`="`)
+					bw.WriteString(labelEscaper.Replace(l.Value))
+					bw.WriteByte('"')
 				}
 				bw.WriteByte('}')
 			}
@@ -69,12 +73,14 @@ func WriteExposition(w io.Writer, fams []MetricFamily) error {
 	return bw.Flush()
 }
 
-// escapeHelp escapes backslashes and newlines per the exposition
-// format.
-func escapeHelp(s string) string {
-	s = strings.ReplaceAll(s, `\`, `\\`)
-	return strings.ReplaceAll(s, "\n", `\n`)
-}
+// The exposition format's only escapes: HELP text escapes backslash
+// and newline, label values also the double quote. Anything else (a
+// tab, a control byte) is written raw, so it reads back as itself.
+var (
+	helpEscaper   = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	helpUnescaper = strings.NewReplacer(`\\`, `\`, `\n`, "\n")
+	labelEscaper  = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
 
 // ParseExposition parses Prometheus text exposition into families.
 // Samples are attached to the family named by their base name (the
@@ -97,23 +103,27 @@ func ParseExposition(r io.Reader) ([]MetricFamily, error) {
 	}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	sc.Split(scanLF)
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimRight(sc.Text(), " \t")
+		raw := sc.Text()
+		text := strings.TrimRight(raw, " \t\r")
 		if text == "" {
 			continue
 		}
 		if strings.HasPrefix(text, "#") {
-			kind, name, rest, ok := parseComment(text)
+			// HELP text runs to the end of the raw line: trailing
+			// blanks are part of it.
+			kind, name, rest, ok := parseComment(raw)
 			if !ok {
 				continue // free-form comment
 			}
 			f := fam(name)
 			if kind == "HELP" {
-				f.Help = rest
+				f.Help = helpUnescaper.Replace(rest)
 			} else {
-				f.Type = rest
+				f.Type = strings.TrimRight(rest, " \t\r")
 			}
 			continue
 		}
@@ -132,6 +142,18 @@ func ParseExposition(r io.Reader) ([]MetricFamily, error) {
 		out = append(out, *byN[name])
 	}
 	return out, nil
+}
+
+// scanLF splits lines at '\n' only. Unlike bufio.ScanLines it keeps a
+// '\r' before the newline, which HELP text may end in.
+func scanLF(data []byte, atEOF bool) (int, []byte, error) {
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		return i + 1, data[:i], nil
+	}
+	if atEOF && len(data) > 0 {
+		return len(data), data, nil
+	}
+	return 0, nil, nil
 }
 
 // parseComment splits "# HELP name rest" / "# TYPE name rest".
