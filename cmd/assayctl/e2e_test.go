@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/http/httputil"
@@ -161,7 +162,7 @@ func serverBody(t *testing.T, u string) []byte {
 func indented(t *testing.T, raw []byte) string {
 	t.Helper()
 	var b bytes.Buffer
-	if err := json.Indent(&b, raw, "", "  "); err != nil {
+	if err := json.Indent(&b, bytes.TrimSpace(raw), "", "  "); err != nil {
 		t.Fatalf("indenting %q: %v", raw, err)
 	}
 	return b.String() + "\n"
@@ -430,5 +431,57 @@ func TestAssayctlHealthNotOK(t *testing.T) {
 	var h federation.Health
 	if err := json.Unmarshal([]byte(res.stdout), &h); err != nil || h.Status != "degraded" || res.code != 1 {
 		t.Errorf("health -o json: exit %d, status %q (%v)", res.code, h.Status, err)
+	}
+}
+
+// TestAssayctlEscapes pins that a job ID travels as one path segment
+// and a list filter as one query value: "../stats" is an unknown job,
+// not the stats document, and a status smuggling "&order=desc" is an
+// invalid filter, not a second parameter.
+func TestAssayctlEscapes(t *testing.T) {
+	worker := startWorker(t)
+	mustRun(t, worker, "submit", "-seed", "7", filepath.Join("..", "..", "docs", "examples", "isolate.json"))
+	for _, args := range [][]string{{"get", "../stats"}, {"trace", "../stats"}, {"watch", "../stats"}} {
+		res := assayctl(t, worker, args...)
+		if res.code != 1 || res.stdout != "" || !strings.HasSuffix(res.stderr, "(HTTP 404)\n") {
+			t.Errorf("assayctl %v: exit %d, stdout %q, stderr %q; want a 404", args, res.code, res.stdout, res.stderr)
+		}
+	}
+	res := assayctl(t, worker, "list", "-status", "done&order=desc")
+	if res.code != 1 || res.stdout != "" || res.stderr != "assayctl: invalid status filter (HTTP 400)\n" {
+		t.Errorf("list -status 'done&order=desc': exit %d, stdout %q, stderr %q; want a 400", res.code, res.stdout, res.stderr)
+	}
+}
+
+// TestAssayctlDeadline pins that a daemon which accepts the connection
+// and never answers cannot hang assayctl: a plain call gives up after
+// the client's 10 s deadline.
+func TestAssayctlDeadline(t *testing.T) {
+	t.Parallel()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var conns []net.Conn
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				for _, c := range conns {
+					c.Close()
+				}
+				return
+			}
+			conns = append(conns, c)
+		}
+	}()
+	defer func() { ln.Close(); <-done }()
+
+	start := time.Now()
+	res := assayctl(t, "http://"+ln.Addr().String(), "stats")
+	if took := time.Since(start); res.code != 1 || !strings.Contains(res.stderr, "service: unreachable") || took > 30*time.Second {
+		t.Errorf("stats against a silent daemon: exit %d after %v, stderr %q", res.code, took, res.stderr)
 	}
 }

@@ -3,6 +3,13 @@
 // waits for completion, watches live progress streams, lists jobs,
 // fetches job status and reads service stats.
 //
+// Every request goes through service.Client, the typed /v1 client the
+// federation gateway also reaches its members with, and decodes into
+// the daemon's own wire types. A job ID travels as one escaped path
+// segment and list filters as escaped query values. A plain call gives
+// up after 10 s, a wait after its long-poll window plus 10 s; a watch
+// stream has no deadline.
+//
 // Submissions that hit the daemon's bounded queue (429) are retried
 // with the backoff the server advertises in its Retry-After header —
 // jittered ±20% so a herd of clients retrying the same refusal
@@ -19,10 +26,11 @@
 //
 // watch follows a job's Server-Sent-Events stream
 // (GET /v1/assays/{id}/events, docs/streaming.md), rendering each event
-// on one line (or raw NDJSON with -o json). A dropped connection is
-// resumed with the standard Last-Event-ID header, so the rendered
-// sequence stays gap-free and duplicate-free. `watch latest` resolves
-// the newest job through the listing endpoint first.
+// on one line (or the server's raw data lines as NDJSON with -o json).
+// A dropped connection is resumed with the standard Last-Event-ID
+// header, so the rendered sequence stays gap-free and duplicate-free.
+// `watch latest` resolves the newest job through the listing endpoint
+// first.
 //
 // Usage:
 //
@@ -49,19 +57,18 @@
 package main
 
 import (
-	"bufio"
-	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
+	"biochip/internal/assay"
+	"biochip/internal/federation"
 	"biochip/internal/obs"
 	"biochip/internal/rng"
 	"biochip/internal/service"
@@ -79,6 +86,22 @@ func vlogf(format string, a ...interface{}) {
 	}
 }
 
+// latencyLog is the -v transport: it logs every request's status and
+// wall latency.
+type latencyLog struct{ next http.RoundTripper }
+
+func (l latencyLog) RoundTrip(req *http.Request) (*http.Response, error) {
+	start := time.Now()
+	resp, err := l.next.RoundTrip(req)
+	took := time.Since(start).Round(time.Millisecond)
+	if err != nil {
+		vlogf("%s %s → %v in %v", req.Method, req.URL, err, took)
+		return nil, err
+	}
+	vlogf("%s %s → %d in %v", req.Method, req.URL, resp.StatusCode, took)
+	return resp, nil
+}
+
 func main() {
 	addr := flag.String("addr", "http://127.0.0.1:8547", "assayd base URL")
 	flag.BoolVar(&verbose, "v", false, "log request latencies and retry decisions to stderr")
@@ -87,24 +110,29 @@ func main() {
 	if len(args) == 0 {
 		usage()
 	}
+	hc := &http.Client{}
+	if verbose {
+		hc.Transport = latencyLog{http.DefaultTransport}
+	}
+	c := service.NewClient(*addr, hc)
 	var err error
 	switch args[0] {
 	case "submit":
-		err = cmdSubmit(*addr, args[1:])
+		err = cmdSubmit(c, args[1:])
 	case "get":
-		err = cmdGet(*addr, args[1:])
+		err = cmdGet(c, args[1:])
 	case "wait":
-		err = cmdWait(*addr, args[1:])
+		err = cmdWait(c, args[1:])
 	case "watch":
-		err = cmdWatch(*addr, args[1:])
+		err = cmdWatch(c, args[1:])
 	case "trace":
-		err = cmdTrace(*addr, args[1:])
+		err = cmdTrace(c, args[1:])
 	case "list":
-		err = cmdList(*addr, args[1:])
+		err = cmdList(c, args[1:])
 	case "stats":
-		err = cmdStats(*addr, args[1:])
+		err = cmdStats(c, args[1:])
 	case "health":
-		err = cmdHealth(*addr, args[1:])
+		err = cmdHealth(c, args[1:])
 	default:
 		usage()
 	}
@@ -127,7 +155,7 @@ func usage() {
 	os.Exit(2)
 }
 
-func cmdSubmit(addr string, args []string) error {
+func cmdSubmit(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("submit", flag.ExitOnError)
 	seed := fs.Uint64("seed", 1, "request seed (replaying it reproduces the result bit-for-bit)")
 	wait := fs.Bool("wait", false, "block until the job finishes and print the job record")
@@ -136,18 +164,15 @@ func cmdSubmit(addr string, args []string) error {
 	if fs.NArg() != 1 {
 		return fmt.Errorf("submit needs exactly one program file")
 	}
-	prog, err := os.ReadFile(fs.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	body, err := json.Marshal(map[string]json.RawMessage{
-		"seed":    json.RawMessage(fmt.Sprint(*seed)),
-		"program": json.RawMessage(prog),
-	})
-	if err != nil {
-		return err
+	var pr assay.Program
+	if err := json.Unmarshal(raw, &pr); err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
-	sub, err := submitWithBackoff(addr, body, *retries)
+	sub, err := submitWithBackoff(c, pr, *seed, *retries)
 	if err != nil {
 		return err
 	}
@@ -168,130 +193,71 @@ func cmdSubmit(addr string, args []string) error {
 		fmt.Println(sub.ID)
 		return nil
 	}
-	return waitUntilDone(addr, sub.ID)
+	return waitUntilDone(c, sub.ID)
 }
 
-// submitResult is the subset of the submit reply assayctl uses.
-type submitResult struct {
-	ID       string   `json:"id"`
-	Eligible []string `json:"eligible"`
-	Cache    string   `json:"cache"`
-	DedupOf  string   `json:"dedup_of"`
-	Error    string   `json:"error"`
-}
-
-// queueFullBody is the 429 refusal body: besides the error, the server
-// piggybacks its queue occupancy and per-compatibility-class backlog,
-// so the client can show what the queue is full of.
-type queueFullBody struct {
-	Error      string `json:"error"`
-	Queued     *int   `json:"queued"`
-	QueueDepth int    `json:"queue_depth"`
-	Backlog    []struct {
-		Profiles []string `json:"profiles"`
-		Queued   int      `json:"queued"`
-	} `json:"backlog"`
-}
-
-// parseQueueFull decodes a 429 refusal body tolerantly: a malformed,
-// truncated or empty body yields a zero value (rendering as nothing)
-// rather than an error, so the retry loop degrades to the plain
-// Retry-After backoff instead of aborting on a mangled proxy response.
-func parseQueueFull(r io.Reader) queueFullBody {
-	var qf queueFullBody
-	if err := json.NewDecoder(r).Decode(&qf); err != nil {
-		// A partial decode can leave fields half-populated; keep only
-		// the error text so the backlog renders as nothing.
-		return queueFullBody{Error: qf.Error}
-	}
-	if qf.Queued != nil && *qf.Queued < 0 {
-		qf.Queued = nil
-	}
-	return qf
-}
-
-// renderBacklog formats a 429 body's backlog block for the retry
-// message: "16/16 queued (die40: 12, die40+die48: 4)".
-func renderBacklog(qf queueFullBody) string {
-	if qf.Queued == nil {
+// renderBacklog formats a refusal's backlog for the retry message:
+// ", 16/16 queued (die40: 12, die40+die48: 4)", or nothing when the
+// refusal carried no backlog.
+func renderBacklog(qf *service.QueueFullError) string {
+	if qf.Depth == 0 {
 		return ""
 	}
-	s := fmt.Sprintf(", %d/%d queued", *qf.Queued, qf.QueueDepth)
-	if len(qf.Backlog) == 0 {
+	s := fmt.Sprintf(", %d/%d queued", qf.Queued, qf.Depth)
+	if len(qf.Classes) == 0 {
 		return s
 	}
-	classes := make([]string, len(qf.Backlog))
-	for i, c := range qf.Backlog {
-		classes[i] = fmt.Sprintf("%s: %d", strings.Join(c.Profiles, "+"), c.Queued)
+	classes := make([]string, len(qf.Classes))
+	for i, cls := range qf.Classes {
+		classes[i] = fmt.Sprintf("%s: %d", strings.Join(cls.Profiles, "+"), cls.Queued)
 	}
 	return s + " (" + strings.Join(classes, ", ") + ")"
 }
 
-// submitWithBackoff POSTs the submission, sleeping out each 429 for the
-// duration the server advertises in Retry-After (default 1 s) before
-// retrying, up to the retry budget. Each sleep is jittered ±20% —
-// deterministically per (process, attempt), so a run is reproducible
-// while concurrent clients still spread out — and the retry message
-// renders the per-class backlog from the refusal body.
-func submitWithBackoff(addr string, body []byte, retries int) (submitResult, error) {
-	var sub submitResult
+// submitWithBackoff submits, sleeping out each 429 for the backoff the
+// server advertises in Retry-After before retrying, up to the retry
+// budget. Each sleep is jittered ±20% — deterministically per
+// (process, attempt), so a run is reproducible while concurrent
+// clients still spread out — and the retry message renders the
+// per-class backlog from the refusal body.
+func submitWithBackoff(c *service.Client, pr assay.Program, seed uint64, retries int) (service.SubmitResult, error) {
 	// One draw per attempt: deterministic for a given process, but
 	// distinct across concurrent clients (seeded by pid).
 	jitter := rng.Substream(uint64(os.Getpid()), 0x6a697474657200)
 	for attempt := 0; ; attempt++ {
-		start := time.Now()
-		resp, err := http.Post(addr+"/v1/assays", "application/json", bytes.NewReader(body))
-		if err != nil {
+		sub, err := c.Submit(pr, seed, "")
+		var qf *service.QueueFullError
+		if !errors.As(err, &qf) {
 			return sub, err
 		}
-		vlogf("POST /v1/assays → %d in %v", resp.StatusCode,
-			time.Since(start).Round(time.Millisecond))
-		if resp.StatusCode == http.StatusTooManyRequests {
-			base := retryAfter(resp)
-			qf := parseQueueFull(resp.Body)
-			resp.Body.Close()
-			if attempt >= retries {
-				return sub, fmt.Errorf("queue full after %d attempts%s", attempt+1, renderBacklog(qf))
-			}
-			backoff := time.Duration(float64(base) * jitter.Uniform(0.8, 1.2))
-			vlogf("backoff: Retry-After %v, jittered to %v (attempt %d/%d)",
-				base, backoff.Round(time.Millisecond), attempt+1, retries)
-			fmt.Fprintf(os.Stderr, "assayctl: queue full%s, retrying in %v (%d/%d)\n",
-				renderBacklog(qf), backoff.Round(time.Millisecond), attempt+1, retries)
-			time.Sleep(backoff)
-			continue
+		if attempt >= retries {
+			return sub, fmt.Errorf("queue full after %d attempts%s", attempt+1, renderBacklog(qf))
 		}
-		if err := decode(resp, &sub); err != nil {
-			return sub, err
-		}
-		if sub.Error != "" {
-			return sub, fmt.Errorf("%s: %s", resp.Status, sub.Error)
-		}
-		return sub, nil
+		backoff := time.Duration(float64(qf.RetryAfter) * jitter.Uniform(0.8, 1.2))
+		vlogf("backoff: Retry-After %v, jittered to %v (attempt %d/%d)",
+			qf.RetryAfter, backoff.Round(time.Millisecond), attempt+1, retries)
+		fmt.Fprintf(os.Stderr, "assayctl: queue full%s, retrying in %v (%d/%d)\n",
+			renderBacklog(qf), backoff.Round(time.Millisecond), attempt+1, retries)
+		time.Sleep(backoff)
 	}
 }
 
-// retryAfter reads the server's backoff hint in seconds, defaulting to
-// one second when absent or unparsable.
-func retryAfter(resp *http.Response) time.Duration {
-	if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs >= 0 {
-		return time.Duration(secs) * time.Second
-	}
-	return time.Second
-}
-
-func cmdGet(addr string, args []string) error {
+func cmdGet(c *service.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("get needs exactly one job ID")
 	}
-	return printJSON(addr + "/v1/assays/" + args[0])
+	j, err := c.Job(args[0])
+	if err != nil {
+		return err
+	}
+	return printJSON(j)
 }
 
-func cmdWait(addr string, args []string) error {
+func cmdWait(c *service.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("wait needs exactly one job ID")
 	}
-	return waitUntilDone(addr, args[0])
+	return waitUntilDone(c, args[0])
 }
 
 // cmdTrace fetches GET /v1/assays/{id}/trace and renders the span
@@ -300,30 +266,22 @@ func cmdWait(addr string, args []string) error {
 // member's spans stitched under the forward span
 // (docs/observability.md). 404 means the daemon runs without
 // observability or the job predates it.
-func cmdTrace(addr string, args []string) error {
+func cmdTrace(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered tree) or json (raw trace document)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("trace needs exactly one job ID")
 	}
-	url := addr + "/v1/assays/" + fs.Arg(0) + "/trace"
-	if *output == "json" {
-		return printJSON(url)
-	}
-	if *output != "text" {
+	if *output != "text" && *output != "json" {
 		return fmt.Errorf("unknown output mode %q", *output)
 	}
-	raw, code, err := fetch(url)
+	doc, err := c.Trace(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, strings.TrimSpace(string(raw)))
-	}
-	var doc obs.TraceDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return err
+	if *output == "json" {
+		return printJSON(doc)
 	}
 	for _, line := range renderTrace(doc) {
 		fmt.Println(line)
@@ -383,52 +341,34 @@ func renderTrace(doc obs.TraceDoc) []string {
 // cmdStats fetches GET /v1/stats. Text mode renders an operator
 // summary — fleet, queue, and the result-cache section with its hit
 // rate (the fraction of cacheable submissions the cache absorbed,
-// counting coalesced in-flight attachments); -o json prints the raw
-// stats document. Against a federation gateway the document is the
+// counting coalesced in-flight attachments); -o json prints the stats
+// document. Against a federation gateway the document is the
 // federated shape (gateway block + merged fleet + per-member
 // snapshots, docs/federation.md): text mode renders the gateway
 // counters and each member's reachability first, then the merged
 // fleet exactly as a single daemon's.
-func cmdStats(addr string, args []string) error {
+func cmdStats(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("stats", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered summary) or json (raw stats document)")
 	_ = fs.Parse(args)
 	if fs.NArg() != 0 {
 		return fmt.Errorf("stats takes no positional arguments")
 	}
-	if *output == "json" {
-		return printJSON(addr + "/v1/stats")
-	}
-	if *output != "text" {
+	if *output != "text" && *output != "json" {
 		return fmt.Errorf("unknown output mode %q", *output)
 	}
-	raw, code, err := fetch(addr + "/v1/stats")
+	var fed federation.Stats
+	gateway, err := fetchRole(c.Stats, &fed, &fed.Fleet)
 	if err != nil {
 		return err
 	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, string(raw))
+	if *output == "json" {
+		if gateway {
+			return printJSON(fed)
+		}
+		return printJSON(fed.Fleet)
 	}
-	// A gateway's stats nest the merged fleet under "fleet"; a worker's
-	// are the fleet block itself.
-	var fed struct {
-		Gateway *struct {
-			Members   int                 `json:"members"`
-			Jobs      int                 `json:"jobs"`
-			Forwarded uint64              `json:"forwarded"`
-			Done      uint64              `json:"done"`
-			Failed    uint64              `json:"failed"`
-			Recovered uint64              `json:"recovered"`
-			Cache     *service.CacheStats `json:"cache"`
-		} `json:"gateway"`
-		Fleet   service.Stats `json:"fleet"`
-		Members []struct {
-			Member    string `json:"member"`
-			Addr      string `json:"addr"`
-			Reachable bool   `json:"reachable"`
-		} `json:"members"`
-	}
-	if err := json.Unmarshal(raw, &fed); err == nil && fed.Gateway != nil {
+	if gateway {
 		gw := fed.Gateway
 		fmt.Printf("gateway  %d members, %d jobs routed (forwarded %d, done %d, failed %d, recovered %d)\n",
 			gw.Members, gw.Jobs, gw.Forwarded, gw.Done, gw.Failed, gw.Recovered)
@@ -443,13 +383,8 @@ func cmdStats(addr string, args []string) error {
 			}
 			fmt.Printf("member   %s @ %s: %s\n", m.Member, m.Addr, state)
 		}
-		return renderFleetStats(fed.Fleet)
 	}
-	var st service.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return err
-	}
-	return renderFleetStats(st)
+	return renderFleetStats(fed.Fleet)
 }
 
 // renderFleetStats prints the single-daemon stats summary — also the
@@ -483,78 +418,6 @@ func renderFleetStats(st service.Stats) error {
 	return nil
 }
 
-// cmdHealth fetches GET /v1/healthz and renders it. A worker reports
-// one line; a federation gateway reports the aggregate status plus one
-// line per member, and a non-ok aggregate ("degraded", "draining",
-// "unavailable") exits non-zero so scripts can gate on it.
-func cmdHealth(addr string, args []string) error {
-	fs := flag.NewFlagSet("health", flag.ExitOnError)
-	output := fs.String("o", "text", "output mode: text (rendered) or json (raw health document)")
-	_ = fs.Parse(args)
-	if fs.NArg() != 0 {
-		return fmt.Errorf("health takes no positional arguments")
-	}
-	raw, code, err := fetch(addr + "/v1/healthz")
-	if err != nil {
-		return err
-	}
-	if code != http.StatusOK && code != http.StatusServiceUnavailable {
-		return fmt.Errorf("%d: %s", code, string(raw))
-	}
-	var h struct {
-		Status        string     `json:"status"`
-		Shards        int        `json:"shards"`
-		Queued        int        `json:"queued"`
-		Running       int64      `json:"running"`
-		UptimeSeconds float64    `json:"uptime_seconds"`
-		Build         *obs.Build `json:"build"`
-		Members       []struct {
-			Member        string  `json:"member"`
-			Addr          string  `json:"addr"`
-			Reachable     bool    `json:"reachable"`
-			Status        string  `json:"status"`
-			Shards        int     `json:"shards"`
-			Queued        int     `json:"queued"`
-			Running       int64   `json:"running"`
-			UptimeSeconds float64 `json:"uptime_seconds"`
-			Error         string  `json:"error"`
-		} `json:"members"`
-	}
-	if err := json.Unmarshal(raw, &h); err != nil {
-		return err
-	}
-	switch *output {
-	case "json":
-		var pretty bytes.Buffer
-		if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-			return err
-		}
-		fmt.Println(pretty.String())
-	case "text":
-		if h.Members == nil {
-			fmt.Printf("%s  %d shards, %d queued, %d running, up %.0fs%s\n",
-				h.Status, h.Shards, h.Queued, h.Running, h.UptimeSeconds, renderBuild(h.Build))
-			break
-		}
-		fmt.Printf("%s  %d members, up %.0fs%s\n",
-			h.Status, len(h.Members), h.UptimeSeconds, renderBuild(h.Build))
-		for _, m := range h.Members {
-			if !m.Reachable {
-				fmt.Printf("  %-12s %s  unreachable (%s)\n", m.Member, m.Addr, m.Error)
-				continue
-			}
-			fmt.Printf("  %-12s %s  %s, %d shards, %d queued, %d running, up %.0fs\n",
-				m.Member, m.Addr, m.Status, m.Shards, m.Queued, m.Running, m.UptimeSeconds)
-		}
-	default:
-		return fmt.Errorf("unknown output mode %q", *output)
-	}
-	if h.Status != "ok" {
-		return fmt.Errorf("status %s", h.Status)
-	}
-	return nil
-}
-
 // renderBuild formats the optional build block for a health line:
 // " (go1.24.0 rev a1bd9d4*)", the asterisk marking a dirty build.
 func renderBuild(b *obs.Build) string {
@@ -575,8 +438,77 @@ func renderBuild(b *obs.Build) string {
 	return s + ")"
 }
 
+// fetchRole fetches a document whose shape depends on the daemon's
+// role, through get (Client.Stats or Client.Health): a gateway's
+// carries a members block and decodes into gw, a worker's decodes into
+// worker.
+func fetchRole(get func(any) error, gw, worker any) (gateway bool, err error) {
+	var raw json.RawMessage
+	if err := get(&raw); err != nil {
+		return false, err
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &top); err != nil {
+		return false, err
+	}
+	if _, gateway = top["members"]; gateway {
+		return true, json.Unmarshal(raw, gw)
+	}
+	return false, json.Unmarshal(raw, worker)
+}
+
+// cmdHealth fetches GET /v1/healthz and renders it. A worker reports
+// one line; a federation gateway reports the aggregate status plus one
+// line per member, and a non-ok status ("degraded", "draining",
+// "unavailable") exits non-zero so scripts can gate on it.
+func cmdHealth(c *service.Client, args []string) error {
+	fs := flag.NewFlagSet("health", flag.ExitOnError)
+	output := fs.String("o", "text", "output mode: text (rendered) or json (raw health document)")
+	_ = fs.Parse(args)
+	if fs.NArg() != 0 {
+		return fmt.Errorf("health takes no positional arguments")
+	}
+	if *output != "text" && *output != "json" {
+		return fmt.Errorf("unknown output mode %q", *output)
+	}
+	var fed federation.Health
+	var h service.Health
+	gateway, err := fetchRole(c.Health, &fed, &h)
+	if err != nil {
+		return err
+	}
+	doc, status := any(h), h.Status
+	if gateway {
+		doc, status = fed, fed.Status
+	}
+	switch {
+	case *output == "json":
+		if err := printJSON(doc); err != nil {
+			return err
+		}
+	case gateway:
+		fmt.Printf("%s  %d members, up %.0fs%s\n",
+			fed.Status, len(fed.Members), fed.UptimeSeconds, renderBuild(fed.Build))
+		for _, m := range fed.Members {
+			if !m.Reachable {
+				fmt.Printf("  %-12s %s  unreachable (%s)\n", m.Member, m.Addr, m.Error)
+				continue
+			}
+			fmt.Printf("  %-12s %s  %s, %d shards, %d queued, %d running, up %.0fs\n",
+				m.Member, m.Addr, m.Status, m.Shards, m.Queued, m.Running, m.UptimeSeconds)
+		}
+	default:
+		fmt.Printf("%s  %d shards, %d queued, %d running, up %.0fs%s\n",
+			h.Status, h.Shards, h.Queued, h.Running, h.UptimeSeconds, renderBuild(h.Build))
+	}
+	if status != "ok" {
+		return fmt.Errorf("status %s", status)
+	}
+	return nil
+}
+
 // cmdList pages through GET /v1/assays and prints one job per line.
-func cmdList(addr string, args []string) error {
+func cmdList(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("list", flag.ExitOnError)
 	status := fs.String("status", "", "filter by status (queued|running|done|failed)")
 	limit := fs.Int("limit", 0, "page size (server default 50)")
@@ -586,43 +518,9 @@ func cmdList(addr string, args []string) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("list takes no positional arguments")
 	}
-	q := make([]string, 0, 4)
-	if *status != "" {
-		q = append(q, "status="+*status)
-	}
-	if *limit > 0 {
-		q = append(q, fmt.Sprintf("limit=%d", *limit))
-	}
-	if *after != "" {
-		q = append(q, "after="+*after)
-	}
-	if *newest {
-		q = append(q, "order=desc")
-	}
-	url := addr + "/v1/assays"
-	if len(q) > 0 {
-		url += "?" + strings.Join(q, "&")
-	}
-	raw, code, err := fetch(url)
+	page, err := c.List(service.ListFilter{
+		Status: service.Status(*status), Limit: *limit, After: *after, Newest: *newest})
 	if err != nil {
-		return err
-	}
-	if code != http.StatusOK {
-		return fmt.Errorf("%d: %s", code, string(raw))
-	}
-	var page struct {
-		Jobs []struct {
-			ID        string `json:"id"`
-			Status    string `json:"status"`
-			Program   string `json:"program"`
-			Seed      uint64 `json:"seed"`
-			Profile   string `json:"profile"`
-			Recovered bool   `json:"recovered"`
-			Error     string `json:"error"`
-		} `json:"jobs"`
-		Next string `json:"next"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
 		return err
 	}
 	for _, j := range page.Jobs {
@@ -647,7 +545,7 @@ func cmdList(addr string, args []string) error {
 // cmdWatch follows a job's SSE stream, reconnecting with Last-Event-ID
 // when the connection drops so the rendered sequence has no gaps or
 // duplicates.
-func cmdWatch(addr string, args []string) error {
+func cmdWatch(c *service.Client, args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
 	output := fs.String("o", "text", "output mode: text (rendered) or json (raw NDJSON)")
 	from := fs.Uint64("from", 0, "resume after this sequence number")
@@ -661,17 +559,21 @@ func cmdWatch(addr string, args []string) error {
 	}
 	id := fs.Arg(0)
 	if id == "latest" {
-		var err error
-		if id, err = latestJob(addr); err != nil {
+		page, err := c.List(service.ListFilter{Newest: true, Limit: 1})
+		if err != nil {
 			return err
 		}
+		if len(page.Jobs) == 0 {
+			return fmt.Errorf("no jobs on the server")
+		}
+		id = page.Jobs[0].ID
 		fmt.Fprintf(os.Stderr, "assayctl: watching %s\n", id)
 	}
 
 	last := *from
 	for attempt := 0; ; {
 		before := last
-		terminal, failed, err := streamEvents(addr, id, &last, *output)
+		terminal, failed, err := streamEvents(c, id, &last, *output)
 		if last > before {
 			// The connection made progress; a fresh drop gets a fresh
 			// reconnect budget (long jobs behind connection-recycling
@@ -679,7 +581,7 @@ func cmdWatch(addr string, args []string) error {
 			attempt = 0
 		}
 		switch {
-		case errors.Is(err, errNoRetry):
+		case err != nil && !errors.Is(err, service.ErrUnreachable):
 			// A definitive server verdict (404 unknown job, 400 bad
 			// cursor, ...): retrying cannot help.
 			return err
@@ -706,94 +608,41 @@ func cmdWatch(addr string, args []string) error {
 	}
 }
 
-// errNoRetry marks watch failures no reconnect can fix (the server gave
-// a definitive non-200 answer).
-var errNoRetry = fmt.Errorf("definitive server response")
-
-// latestJob resolves the newest job via the listing endpoint.
-func latestJob(addr string) (string, error) {
-	raw, code, err := fetch(addr + "/v1/assays?order=desc&limit=1")
-	if err != nil {
-		return "", err
-	}
-	if code != http.StatusOK {
-		return "", fmt.Errorf("%d: %s", code, string(raw))
-	}
-	var page struct {
-		Jobs []struct {
-			ID string `json:"id"`
-		} `json:"jobs"`
-	}
-	if err := json.Unmarshal(raw, &page); err != nil {
-		return "", err
-	}
-	if len(page.Jobs) == 0 {
-		return "", fmt.Errorf("no jobs on the server")
-	}
-	return page.Jobs[0].ID, nil
-}
-
-// streamEvents consumes one SSE connection. It returns terminal=true
-// once a job.done / job.failed / shutdown event arrives (failed reports
-// which), and a non-nil error when the connection broke mid-stream.
-func streamEvents(addr, id string, last *uint64, output string) (terminal, failed bool, err error) {
-	req, err := http.NewRequest(http.MethodGet, addr+"/v1/assays/"+id+"/events", nil)
+// streamEvents consumes one SSE connection, printing each event (its
+// raw data line with -o json). It returns terminal=true once a
+// job.done / job.failed / shutdown event arrives (failed reports
+// which); a connection that could not be made or broke mid-stream is
+// an error matching service.ErrUnreachable.
+func streamEvents(c *service.Client, id string, last *uint64, output string) (terminal, failed bool, err error) {
+	sr, err := c.Events(context.Background(), id, *last)
 	if err != nil {
 		return false, false, err
 	}
-	if *last > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(*last, 10))
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return false, false, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		raw, _ := io.ReadAll(resp.Body)
-		return false, false, fmt.Errorf("%s: %s: %w",
-			resp.Status, strings.TrimSpace(string(raw)), errNoRetry)
-	}
-	br := bufio.NewReader(resp.Body)
-	data := ""
+	defer sr.Close()
 	for {
-		line, rerr := br.ReadString('\n')
-		if rerr != nil {
-			// io.EOF is a clean server-side close; anything else is a
-			// broken connection worth resuming.
-			if rerr == io.EOF {
-				return false, false, nil
+		ev, ok := sr.Next()
+		if !ok {
+			if err := sr.Err(); err != nil {
+				return false, false, fmt.Errorf("%w: %v", service.ErrUnreachable, err)
 			}
-			return false, false, rerr
+			return false, false, nil
 		}
-		line = strings.TrimRight(line, "\n")
-		switch {
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "" && data != "":
-			var ev stream.Event
-			if err := json.Unmarshal([]byte(data), &ev); err != nil {
-				return false, false, fmt.Errorf("bad event payload %q: %w", data, err)
-			}
-			if ev.Seq > 0 {
-				*last = ev.Seq
-			}
-			if output == "json" {
-				fmt.Println(data)
-			} else {
-				fmt.Println(renderEvent(ev))
-			}
-			switch ev.Type {
-			case stream.JobDone:
-				return true, false, nil
-			case stream.JobFailed:
-				return true, true, nil
-			case stream.Shutdown:
-				fmt.Fprintln(os.Stderr, "assayctl: server shutting down, stream closed")
-				return true, false, nil
-			}
-			data = ""
+		if ev.Seq > 0 {
+			*last = ev.Seq
+		}
+		if output == "json" {
+			fmt.Printf("%s\n", sr.Data())
+		} else {
+			fmt.Println(renderEvent(ev))
+		}
+		switch ev.Type {
+		case stream.JobDone:
+			return true, false, nil
+		case stream.JobFailed:
+			return true, true, nil
+		case stream.Shutdown:
+			fmt.Fprintln(os.Stderr, "assayctl: server shutting down, stream closed")
+			return true, false, nil
 		}
 	}
 }
@@ -837,76 +686,38 @@ func renderEvent(ev stream.Event) string {
 	}
 }
 
-// waitUntilDone long-polls the job (the server holds each GET until the
-// job finishes or its window closes) and pretty-prints the final
-// record, with a placement summary on stderr.
-func waitUntilDone(addr, id string) error {
+// waitUntilDone long-polls the job (the server holds each request
+// until the job finishes or its window closes) and pretty-prints the
+// final record, with a placement summary on stderr.
+func waitUntilDone(c *service.Client, id string) error {
 	for {
-		raw, status, err := fetch(addr + "/v1/assays/" + id + "?wait=1")
+		j, err := c.Wait(id, service.DefaultLongPoll)
 		if err != nil {
+			return fmt.Errorf("job %s: %w", id, err)
+		}
+		if j.Status != service.StatusDone && j.Status != service.StatusFailed {
+			continue
+		}
+		if err := printJSON(j); err != nil {
 			return err
 		}
-		if status != http.StatusOK {
-			return fmt.Errorf("job %s: %s", id, string(raw))
+		if j.Profile != "" {
+			fmt.Fprintf(os.Stderr, "assayctl: %s ran on profile %s (shard %d, stolen %v; eligible: %s)\n",
+				id, j.Profile, j.Shard, j.Stolen, strings.Join(j.Eligible, ", "))
 		}
-		var job struct {
-			Status   string   `json:"status"`
-			Profile  string   `json:"profile"`
-			Eligible []string `json:"eligible"`
-			Shard    int      `json:"shard"`
-			Stolen   bool     `json:"stolen"`
+		if j.Status == service.StatusFailed {
+			return fmt.Errorf("job %s failed", id)
 		}
-		if err := json.Unmarshal(raw, &job); err != nil {
-			return err
-		}
-		if job.Status == "done" || job.Status == "failed" {
-			var pretty bytes.Buffer
-			if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-				return err
-			}
-			fmt.Println(pretty.String())
-			if job.Profile != "" {
-				fmt.Fprintf(os.Stderr, "assayctl: %s ran on profile %s (shard %d, stolen %v; eligible: %s)\n",
-					id, job.Profile, job.Shard, job.Stolen, strings.Join(job.Eligible, ", "))
-			}
-			if job.Status == "failed" {
-				return fmt.Errorf("job %s failed", id)
-			}
-			return nil
-		}
+		return nil
 	}
 }
 
-func printJSON(url string) error {
-	raw, status, err := fetch(url)
+// printJSON prints a wire document indented.
+func printJSON(v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("%d: %s", status, string(raw))
-	}
-	var pretty bytes.Buffer
-	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
-		return err
-	}
-	fmt.Println(pretty.String())
+	fmt.Println(string(out))
 	return nil
-}
-
-func fetch(url string) ([]byte, int, error) {
-	start := time.Now()
-	resp, err := http.Get(url)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	vlogf("GET %s → %d in %v", url, resp.StatusCode,
-		time.Since(start).Round(time.Millisecond))
-	return raw, resp.StatusCode, err
-}
-
-func decode(resp *http.Response, v interface{}) error {
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -6,14 +6,30 @@ import (
 	"strings"
 	"testing"
 
+	"biochip/internal/assay"
 	"biochip/internal/obs"
+	"biochip/internal/service"
 )
 
-// TestParseQueueFullDegrades pins the 429-body contract: whatever a
-// member, gateway or intermediary proxy mangles the refusal body into,
-// parsing must degrade to a zero value (rendering as nothing) so the
-// retry loop falls back to the plain Retry-After backoff instead of
-// erroring out of a retryable situation.
+// refuser answers every submission 429 with Retry-After 0 and the
+// given body.
+func refuser(t *testing.T, body string) *service.Client {
+	t.Helper()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Retry-After", "0")
+		w.WriteHeader(http.StatusTooManyRequests)
+		w.Write([]byte(body))
+	}))
+	t.Cleanup(srv.Close)
+	return service.NewClient(srv.URL, nil)
+}
+
+// TestParseQueueFullDegrades pins the 429-body contract as submit
+// renders it: whatever a member, gateway or intermediary proxy mangles
+// the refusal body into, the client's decoder must degrade to a
+// refusal without backlog (rendering as nothing), so the retry loop
+// falls back to the plain Retry-After backoff instead of erroring out
+// of a retryable situation.
 func TestParseQueueFullDegrades(t *testing.T) {
 	cases := []struct {
 		name string
@@ -34,9 +50,9 @@ func TestParseQueueFullDegrades(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			qf := parseQueueFull(strings.NewReader(tc.body))
-			if got := renderBacklog(qf); got != tc.want {
-				t.Errorf("renderBacklog = %q, want %q", got, tc.want)
+			_, err := submitWithBackoff(refuser(t, tc.body), assay.Program{Name: "p"}, 1, 0)
+			if want := "queue full after 1 attempts" + tc.want; err == nil || err.Error() != want {
+				t.Errorf("err = %v, want %q", err, want)
 			}
 		})
 	}
@@ -61,7 +77,7 @@ func TestSubmitBackoffMalformed429(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	sub, err := submitWithBackoff(srv.URL, []byte(`{"seed":1,"program":{}}`), 3)
+	sub, err := submitWithBackoff(service.NewClient(srv.URL, nil), assay.Program{Name: "p"}, 1, 3)
 	if err != nil {
 		t.Fatalf("submitWithBackoff: %v", err)
 	}
@@ -74,13 +90,8 @@ func TestSubmitBackoffMalformed429(t *testing.T) {
 // is refused: the error carries the parsed backlog when the body was
 // sound, and stays clean when it was not.
 func TestSubmitBackoffExhausted(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "0")
-		w.WriteHeader(http.StatusTooManyRequests)
-		w.Write([]byte(`{"error":"queue full","queued":8,"queue_depth":8}`))
-	}))
-	defer srv.Close()
-	_, err := submitWithBackoff(srv.URL, []byte(`{}`), 1)
+	c := refuser(t, `{"error":"queue full","queued":8,"queue_depth":8}`)
+	_, err := submitWithBackoff(c, assay.Program{}, 1, 1)
 	if err == nil || !strings.Contains(err.Error(), "8/8 queued") {
 		t.Errorf("exhausted error = %v, want it to carry the 8/8 backlog", err)
 	}

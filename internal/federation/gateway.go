@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -31,6 +32,8 @@ const (
 	// a member is unreachable.
 	watchBackoffMin = 250 * time.Millisecond
 	watchBackoffMax = 2 * time.Second
+	// rangeFetchTimeout bounds one event backfill fetch from a member.
+	rangeFetchTimeout = 10 * time.Second
 )
 
 // ErrNoMembers reports a submission no member could take because none
@@ -456,7 +459,7 @@ func (g *Gateway) Submit(pr assay.Program, seed uint64, traceParent string) (ser
 		case errors.As(err, &full):
 			fulls = append(fulls, full)
 			g.noteBacklog(c.idx, full)
-		case errors.Is(err, ErrUnreachable):
+		case errors.Is(err, service.ErrUnreachable):
 			g.noteUnreachable(c.idx)
 		}
 		// Draining, incompatible and persist-refusing members simply
@@ -465,7 +468,7 @@ func (g *Gateway) Submit(pr assay.Program, seed uint64, traceParent string) (ser
 	if len(fulls) == len(cands) {
 		return service.SubmitResult{}, mergeQueueFull(fulls)
 	}
-	if errors.Is(lastErr, ErrUnreachable) {
+	if errors.Is(lastErr, service.ErrUnreachable) {
 		return service.SubmitResult{}, fmt.Errorf("%w: %v", ErrNoMembers, lastErr)
 	}
 	return service.SubmitResult{}, lastErr
@@ -584,7 +587,7 @@ func (v *memberView) score(eligible []string) int {
 	matched := false
 	for _, cls := range v.classes {
 		for _, p := range cls.Profiles {
-			if containsStr(eligible, p) {
+			if slices.Contains(eligible, p) {
 				s += cls.Queued
 				matched = true
 				break
@@ -600,18 +603,14 @@ func (v *memberView) score(eligible []string) int {
 	return s
 }
 
-func containsStr(ss []string, s string) bool {
-	for _, x := range ss {
-		if x == s {
-			return true
-		}
-	}
-	return false
-}
-
 // noteBacklog folds the backlog block a 429 piggybacks into the
-// member's view — fresher than the last poll by construction.
+// member's view — fresher than the last poll by construction. A
+// refusal whose body carried no backlog (Depth 0) leaves the view as
+// last polled.
 func (g *Gateway) noteBacklog(idx int, full *service.QueueFullError) {
+	if full.Depth == 0 {
+		return
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	v := &g.views[idx]
@@ -644,7 +643,8 @@ func mergeQueueFull(fulls []*service.QueueFullError) *service.QueueFullError {
 	return out
 }
 
-// pollLoop refreshes every member's backlog view on a fixed cadence.
+// pollLoop refreshes every member's backlog view on a fixed cadence,
+// from one concurrent stats snapshot of the fleet.
 func (g *Gateway) pollLoop() {
 	defer g.wg.Done()
 	t := time.NewTicker(g.poll)
@@ -655,22 +655,19 @@ func (g *Gateway) pollLoop() {
 			return
 		case <-t.C:
 		}
-		for i, m := range g.members {
-			st, err := m.StatsErr()
-			g.mu.Lock()
+		snaps := g.MemberStatsSnapshot()
+		g.mu.Lock()
+		for i, ms := range snaps {
 			v := &g.views[i]
-			if err != nil {
-				v.reachable = false
-				g.met.memberUp.With(m.Name).Set(0)
-			} else {
-				v.reachable = true
-				v.queued = st.Queued
-				v.classes = st.Classes
-				v.pending = 0
-				g.met.memberUp.With(m.Name).Set(1)
+			v.reachable = ms.Reachable
+			if !ms.Reachable {
+				g.met.memberUp.With(ms.Member).Set(0)
+				continue
 			}
-			g.mu.Unlock()
+			v.queued, v.classes, v.pending = ms.Stats.Queued, ms.Stats.Classes, 0
+			g.met.memberUp.With(ms.Member).Set(1)
 		}
+		g.mu.Unlock()
 	}
 }
 
@@ -686,9 +683,9 @@ func (g *Gateway) watch(j *gwJob) {
 		if g.ctx.Err() != nil {
 			return
 		}
-		rj, err := j.member.WaitTimeoutErr(j.remoteID, memberWaitWindow)
+		rj, err := j.member.Wait(j.remoteID, memberWaitWindow)
 		switch {
-		case errors.Is(err, ErrUnknownJob):
+		case errors.Is(err, service.ErrUnknownJob):
 			g.finish(j, service.Job{
 				ID: j.remoteID, Status: service.StatusFailed,
 				Error: "federation: job lost by member restart (member runs without -data)",
@@ -791,7 +788,7 @@ func (g *Gateway) Get(id string) (service.Job, bool) {
 	if snap.Status == service.StatusDone || snap.Status == service.StatusFailed {
 		return snap, true
 	}
-	rj, err := j.member.JobErr(j.remoteID)
+	rj, err := j.member.Job(j.remoteID)
 	if err != nil {
 		return snap, true
 	}

@@ -56,22 +56,15 @@ func (g *Gateway) MetricFamilies() ([]obs.MetricFamily, bool) {
 	if g.obs == nil {
 		return nil, false
 	}
-	scrapes := make([][]obs.MetricFamily, len(g.members))
-	var wg sync.WaitGroup
-	for i, m := range g.members {
-		wg.Add(1)
-		go func(i int, m *Member) {
-			defer wg.Done()
-			fams, err := m.MetricsErr()
-			if err != nil {
-				g.met.memberUp.With(m.Name).Set(0)
-				return
-			}
-			g.met.memberUp.With(m.Name).Set(1)
-			scrapes[i] = obs.Relabel(fams, "member", m.Name)
-		}(i, m)
-	}
-	wg.Wait()
+	scrapes := fanOut(g.members, func(m *Member) []obs.MetricFamily {
+		fams, err := m.Metrics()
+		if err != nil {
+			g.met.memberUp.With(m.Name).Set(0)
+			return nil
+		}
+		g.met.memberUp.With(m.Name).Set(1)
+		return obs.Relabel(fams, "member", m.Name)
+	})
 	fams := g.obs.Gather()
 	for _, s := range scrapes {
 		fams = obs.MergeFamilies(fams, s)
@@ -96,7 +89,7 @@ func (g *Gateway) Trace(id string) (obs.TraceDoc, bool) {
 	if m == nil {
 		return doc, true
 	}
-	mdoc, err := m.TraceErr(remoteID)
+	mdoc, err := m.Trace(remoteID)
 	if err != nil {
 		return doc, true
 	}

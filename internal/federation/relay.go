@@ -3,9 +3,6 @@ package federation
 import (
 	"context"
 	"errors"
-	"net/http"
-	"net/url"
-	"strconv"
 
 	"biochip/internal/service"
 	"biochip/internal/stream"
@@ -51,7 +48,7 @@ func (g *Gateway) relay(j *gwJob) {
 		if terminal {
 			return
 		}
-		if err != nil && errors.Is(err, ErrUnknownJob) {
+		if err != nil && errors.Is(err, service.ErrUnknownJob) {
 			// The member lost the job (non-durable restart). The watcher
 			// fails the job gateway-side; emit its terminal event so
 			// subscribers end instead of hanging.
@@ -81,14 +78,11 @@ func (g *Gateway) relay(j *gwJob) {
 // until the connection ends. It reports whether the job's terminal
 // event was mirrored.
 func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
-	ctx, cancel := context.WithCancel(g.ctx)
-	defer cancel()
-	resp, err := g.openEvents(ctx, j, j.mirror.Last())
+	sc, err := j.member.Events(g.ctx, j.remoteID, j.mirror.Last())
 	if err != nil {
 		return false, err
 	}
-	defer resp.Body.Close()
-	sc := service.NewSSEReader(resp.Body)
+	defer sc.Close()
 	for {
 		ev, ok := sc.Next()
 		if !ok {
@@ -100,67 +94,37 @@ func (g *Gateway) streamOnce(j *gwJob) (terminal bool, err error) {
 			// recovered) member.
 			return false, nil
 		}
-		g.feed(j, ev)
+		j.mirror.Feed(j.localize(ev))
 		if ev.Type == stream.JobDone || ev.Type == stream.JobFailed {
 			return true, nil
 		}
 	}
 }
 
-// feed rewrites one member event into the gateway namespace and feeds
-// the mirror.
-func (g *Gateway) feed(j *gwJob, ev stream.Event) {
-	if ev.Job != nil && ev.Job.ID != "" {
+// localize rewrites a member event into the gateway namespace: the
+// member's job ID in a job.* payload becomes the gateway's.
+func (j *gwJob) localize(ev stream.Event) stream.Event {
+	if ev.Job != nil && ev.Job.ID == j.remoteID {
 		job := *ev.Job
-		if job.ID == j.remoteID {
-			job.ID = j.id
-		}
+		job.ID = j.id
 		ev.Job = &job
 	}
-	j.mirror.Feed(ev)
-}
-
-// openEvents opens the member SSE stream resuming after the given
-// sequence number.
-func (g *Gateway) openEvents(ctx context.Context, j *gwJob, after uint64) (*http.Response, error) {
-	u := j.member.Addr + "/v1/assays/" + url.PathEscape(j.remoteID) + "/events"
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, err
-	}
-	if after > 0 {
-		req.Header.Set("Last-Event-ID", strconv.FormatUint(after, 10))
-	}
-	resp, err := j.member.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return resp, nil
-	case http.StatusNotFound:
-		resp.Body.Close()
-		return nil, ErrUnknownJob
-	default:
-		resp.Body.Close()
-		return nil, errors.New("federation: events: status " + strconv.Itoa(resp.StatusCode))
-	}
+	return ev
 }
 
 // rangeFetch recovers events that left the mirror window — the
 // backfill behind deep Last-Event-ID resumes — with one bounded SSE
 // fetch from the member, which serves its own ring, tape or durable
-// log as appropriate. Events are rewritten exactly as the live relay
-// rewrites them.
+// log as appropriate. Events are localized exactly as the live relay
+// localizes them.
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
-	ctx, cancel := context.WithTimeout(g.ctx, rpcTimeout)
+	ctx, cancel := context.WithTimeout(g.ctx, rangeFetchTimeout)
 	defer cancel()
-	resp, err := g.openEvents(ctx, j, from-1)
+	sc, err := j.member.Events(ctx, j.remoteID, from-1)
 	if err != nil {
 		return nil
 	}
-	defer resp.Body.Close()
-	sc := service.NewSSEReader(resp.Body)
+	defer sc.Close()
 	var out []stream.Event
 	for {
 		ev, ok := sc.Next()
@@ -170,12 +134,7 @@ func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {
 		if ev.Seq < from || ev.Seq == 0 {
 			continue
 		}
-		if ev.Job != nil && ev.Job.ID == j.remoteID {
-			job := *ev.Job
-			job.ID = j.id
-			ev.Job = &job
-		}
-		out = append(out, ev)
+		out = append(out, j.localize(ev))
 		if ev.Seq == to {
 			return out
 		}

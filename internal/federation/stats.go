@@ -3,7 +3,6 @@ package federation
 import (
 	"net/http"
 	"sort"
-	"sync"
 
 	"biochip/internal/obs"
 	"biochip/internal/service"
@@ -170,25 +169,17 @@ func classKey(profiles []string) string {
 // MemberStatsSnapshot fetches every member's stats live, in members
 // order. Unreachable members report the error instead of a snapshot.
 func (g *Gateway) MemberStatsSnapshot() []MemberStats {
-	out := make([]MemberStats, len(g.members))
-	var wg sync.WaitGroup
-	for i, m := range g.members {
-		wg.Add(1)
-		go func(i int, m *Member) {
-			defer wg.Done()
-			ms := MemberStats{Member: m.Name, Addr: m.Addr}
-			st, err := m.StatsErr()
-			if err != nil {
-				ms.Error = err.Error()
-			} else {
-				ms.Reachable = true
-				ms.Stats = &st
-			}
-			out[i] = ms
-		}(i, m)
-	}
-	wg.Wait()
-	return out
+	return fanOut(g.members, func(m *Member) MemberStats {
+		ms := MemberStats{Member: m.Name, Addr: m.Addr}
+		var st service.Stats
+		if err := m.Stats(&st); err != nil {
+			ms.Error = err.Error()
+		} else {
+			ms.Reachable = true
+			ms.Stats = &st
+		}
+		return ms
+	})
 }
 
 // Stats assembles the gateway's /v1/stats body: live member snapshots,
@@ -272,29 +263,15 @@ type Health struct {
 // AggregateHealth probes every member's /v1/healthz and folds the
 // results per the Health status rules.
 func (g *Gateway) AggregateHealth() Health {
-	rows := make([]MemberHealth, len(g.members))
-	var wg sync.WaitGroup
-	for i, m := range g.members {
-		wg.Add(1)
-		go func(i int, m *Member) {
-			defer wg.Done()
-			row := MemberHealth{Member: m.Name, Addr: m.Addr}
-			h, err := m.Healthz()
-			if err != nil {
-				row.Error = err.Error()
-			} else {
-				row.Reachable = true
-				row.Status = h.Status
-				row.Shards = h.Shards
-				row.Queued = h.Queued
-				row.Running = h.Running
-				row.UptimeSeconds = h.UptimeSeconds
-				row.Build = h.Build
-			}
-			rows[i] = row
-		}(i, m)
-	}
-	wg.Wait()
+	rows := fanOut(g.members, func(m *Member) MemberHealth {
+		var h service.Health
+		if err := m.Health(&h); err != nil {
+			return MemberHealth{Member: m.Name, Addr: m.Addr, Error: err.Error()}
+		}
+		return MemberHealth{Member: m.Name, Addr: m.Addr, Reachable: true,
+			Status: h.Status, Shards: h.Shards, Queued: h.Queued, Running: h.Running,
+			UptimeSeconds: h.UptimeSeconds, Build: h.Build}
+	})
 	accepting := 0
 	for _, row := range rows {
 		if row.Reachable && row.Status == "ok" {

@@ -204,6 +204,14 @@ func newStubMember(t *testing.T, stats service.Stats, response func(n int) (int,
 		s.submits++
 		s.mu.Unlock()
 		code, body := s.response(n)
+		if raw, ok := body.([]byte); ok {
+			// Raw bytes go out verbatim: a mangled body a proxy or a
+			// broken member might send.
+			w.Header().Set("Retry-After", "0")
+			w.WriteHeader(code)
+			w.Write(raw)
+			return
+		}
 		writeJSON(w, code, body)
 	})
 	mux.HandleFunc("GET /v1/assays/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -332,6 +340,66 @@ func TestPlacement429FallsOver(t *testing.T) {
 	}
 	if qf.Queued != 8 || qf.Depth != 8 || len(qf.Classes) != 1 {
 		t.Errorf("merged QueueFullError = %+v", qf)
+	}
+}
+
+// TestPlacementMalformed429 pins a 429 whose body does not decode: the
+// status alone makes it a queue-full refusal, so the member is neither
+// marked unreachable nor credited with a backlog it never reported —
+// its view stays as last polled — and the job falls over to the next
+// candidate. When every member refuses that way the caller sees a
+// queue-full refusal without backlog, not an outage.
+func TestPlacementMalformed429(t *testing.T) {
+	mangled := newStubMember(t, service.Stats{}, func(n int) (int, interface{}) {
+		return http.StatusTooManyRequests, []byte(`{"queued": "not a numb`)
+	})
+	open := newStubMember(t, service.Stats{}, accept)
+	g, err := New(Config{
+		Members: []MemberSpec{
+			{Name: "mangled", Addr: mangled.ts.URL, Profiles: die40()},
+			{Name: "open", Addr: open.ts.URL, Profiles: die40()},
+		},
+		PollInterval: time.Hour, // views change on refusals alone
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	// Seed the views so the mangled member is tried first and has a
+	// backlog the refusal must not overwrite.
+	polled := memberView{reachable: true, queued: 3, pending: 1,
+		classes: []service.ClassStats{{Profiles: []string{"die40"}, Queued: 3}}}
+	g.mu.Lock()
+	g.views[0], g.views[1] = polled, memberView{reachable: true, queued: 10}
+	g.mu.Unlock()
+	if _, err := g.Submit(testProgram(6), 2100, ""); err != nil {
+		t.Fatal(err)
+	}
+	if mangled.submitted() != 1 || open.submitted() != 1 {
+		t.Fatalf("mangled tried %d, open took %d; want 1 and 1", mangled.submitted(), open.submitted())
+	}
+	g.mu.Lock()
+	v := g.views[0]
+	g.mu.Unlock()
+	if !reflect.DeepEqual(v, polled) {
+		t.Errorf("mangled member's view = %+v, want it as polled: %+v", v, polled)
+	}
+
+	allMangled, err := New(Config{
+		Members:      []MemberSpec{{Name: "mangled", Addr: mangled.ts.URL, Profiles: die40()}},
+		PollInterval: time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer allMangled.Close()
+	_, err = allMangled.Submit(testProgram(6), 2101, "")
+	var qf *service.QueueFullError
+	if !errors.As(err, &qf) || errors.Is(err, ErrNoMembers) {
+		t.Fatalf("err = %v, want a QueueFullError", err)
+	}
+	if qf.Queued != 0 || qf.Depth != 0 || qf.Classes != nil {
+		t.Errorf("merged QueueFullError = %+v, want no backlog", qf)
 	}
 }
 

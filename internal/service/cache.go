@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
+	"time"
 
 	"biochip/internal/assay"
 	"biochip/internal/cache"
@@ -54,6 +55,10 @@ type QueueFullError struct {
 	// Classes is the backlog per live compatibility class (non-empty
 	// classes only), in class-creation order.
 	Classes []ClassStats `json:"classes,omitempty"`
+	// RetryAfter is the backoff a remote refusal advertised
+	// (Client.Submit); zero on a local one. A remote refusal whose body
+	// carried no backlog leaves Queued, Depth and Classes zero.
+	RetryAfter time.Duration `json:"-"`
 }
 
 // Error implements error.

@@ -6,7 +6,6 @@ package service
 // two roles cannot drift apart on the wire.
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -69,7 +68,7 @@ const retryAfterSeconds = 1
 // first. Clients may lower/raise the default with ?timeout=SECONDS up
 // to the cap.
 const (
-	defaultLongPoll = 25 * time.Second
+	DefaultLongPoll = 25 * time.Second
 	maxLongPoll     = 60 * time.Second
 )
 
@@ -275,7 +274,7 @@ func (h *handlers) handleGet(w http.ResponseWriter, r *http.Request) {
 // overflow.
 func longPollTimeout(raw string) (time.Duration, error) {
 	if raw == "" {
-		return defaultLongPoll, nil
+		return DefaultLongPoll, nil
 	}
 	secs, err := strconv.ParseFloat(raw, 64)
 	if err != nil || secs < 0 || math.IsNaN(secs) || math.IsInf(secs, 0) {
@@ -432,39 +431,6 @@ func writeSSE(w io.Writer, ev stream.Event) {
 		fmt.Fprintf(w, "event: %s\n", ev.Type)
 	}
 	fmt.Fprintf(w, "data: %s\n\n", data)
-}
-
-// SSEReader parses the event stream writeSSE frames; a gateway relays
-// member streams through it. Only data: lines matter — the payload is
-// self-describing (the stream.Event JSON carries its own type and
-// sequence number).
-type SSEReader struct {
-	r *bufio.Reader
-}
-
-// NewSSEReader reads events from an SSE byte stream.
-func NewSSEReader(r io.Reader) *SSEReader {
-	return &SSEReader{r: bufio.NewReader(r)}
-}
-
-// Next returns the next decoded event, or false at end of stream.
-// Undecodable frames are skipped — forward compatibility over failure.
-func (s *SSEReader) Next() (stream.Event, bool) {
-	for {
-		line, err := s.r.ReadString('\n')
-		if err != nil {
-			return stream.Event{}, false
-		}
-		payload, ok := strings.CutPrefix(strings.TrimRight(line, "\r\n"), "data:")
-		if !ok {
-			continue
-		}
-		var ev stream.Event
-		if json.Unmarshal([]byte(strings.TrimSpace(payload)), &ev) != nil {
-			continue
-		}
-		return ev, true
-	}
 }
 
 // Health is the worker's GET /v1/healthz body.

@@ -117,7 +117,7 @@ func TestRoundRobinAssignment(t *testing.T) {
 // the physics, for dispatcher-only tests. The result cache is disabled:
 // these tests deliberately submit identical (program, seed) pairs to
 // exercise queueing and stealing, which the cache would coalesce away.
-func newFakeService(t *testing.T, shards, depth int, fn func(sh *shard, j *Job)) *Service {
+func newFakeService(t testing.TB, shards, depth int, fn func(sh *shard, j *Job)) *Service {
 	t.Helper()
 	svc, err := New(Config{Shards: shards, QueueDepth: depth, Chip: testChip(),
 		Cache: CacheConfig{Disable: true}})
