@@ -69,18 +69,19 @@ func Refine(p Problem, pl *Plan, maxRounds int) (*Plan, int) {
 	}
 	interior := p.Interior()
 	horizon := p.EffectiveHorizon()
+	s := newSearcher(interior)
 	improved := 0
 	for round := 0; round < maxRounds; round++ {
 		changed := false
 		for _, a := range p.Agents {
 			// Reservations: everyone else's current path.
-			res := newReservations()
+			s.res.reset()
 			for _, b := range p.Agents {
 				if b.ID != a.ID {
-					res.commit(out.Paths[b.ID])
+					s.res.commit(out.Paths[b.ID])
 				}
 			}
-			cand := astar(a, interior, horizon, res, nil)
+			cand := s.astar(a, horizon)
 			if cand == nil {
 				continue
 			}

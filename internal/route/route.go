@@ -80,6 +80,9 @@ func (p Problem) Validate() error {
 	if p.Cols < 2*cage.Margin+1 || p.Rows < 2*cage.Margin+1 {
 		return fmt.Errorf("route: grid %dx%d too small", p.Cols, p.Rows)
 	}
+	if p.Cols > maxGridSide || p.Rows > maxGridSide {
+		return fmt.Errorf("route: grid %dx%d exceeds %d cells a side", p.Cols, p.Rows, maxGridSide)
+	}
 	interior := p.Interior()
 	seen := make(map[int]bool, len(p.Agents))
 	for _, a := range p.Agents {

@@ -1,7 +1,6 @@
 package route
 
 import (
-	"container/heap"
 	"fmt"
 
 	"biochip/internal/geom"
@@ -88,6 +87,7 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 		}
 		return d
 	}
+	s := newSearcher(interior)
 	stalls := 0
 	stalled := false
 	rounds := 0
@@ -107,16 +107,16 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 				}
 			}
 		}
-		res := newReservations()
-		pending := make(map[int]geom.Cell, len(order))
+		s.res.reset()
+		s.soft.reset()
 		for _, a := range order {
-			pending[a.ID] = cur[a.ID]
+			s.addSoft(cur[a.ID], 1)
 		}
 		before := totalDist()
 		for _, a := range order {
-			delete(pending, a.ID)
 			from := cur[a.ID]
-			wp := windowAstar(from, goals[a.ID], interior, win, res, pending)
+			s.addSoft(from, -1)
+			wp := s.windowAstar(from, goals[a.ID], win)
 			if wp == nil {
 				// Blocked completely: sit still for the window.
 				wp = make(geom.Path, win+1)
@@ -124,7 +124,7 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 					wp[i] = from
 				}
 			}
-			res.commit(wp)
+			s.res.commit(wp)
 			paths[a.ID] = append(paths[a.ID], wp[1:]...)
 			cur[a.ID] = wp[len(wp)-1]
 		}
@@ -145,65 +145,4 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 		return pl, &RoundsExhaustedError{Rounds: rounds, Stalled: stalled, Remaining: totalDist()}
 	}
 	return pl, nil
-}
-
-// windowAstar plans exactly `win` steps from `from` toward goal, using
-// space-time A* where every depth-win node is a terminal whose merit is
-// its remaining distance. Returns a path of length win+1, or nil when
-// even waiting in place conflicts.
-func windowAstar(from, goal geom.Cell, interior geom.Rect, win int, res *reservations, pending map[int]geom.Cell) geom.Path {
-	soft := make(map[geom.Cell]bool, 9*len(pending))
-	for _, pc := range pending {
-		nearCells(pc, func(q geom.Cell) { soft[q] = true })
-	}
-	penalty := func(c geom.Cell) int {
-		if soft[c] {
-			return pendingPenalty
-		}
-		return 0
-	}
-	start := &stNode{key: stKey{from, 0}, g: 0, f: from.Manhattan(goal)}
-	open := &stHeap{}
-	heap.Init(open)
-	heap.Push(open, start)
-	closed := make(map[stKey]bool)
-	expansions := 0
-	for open.Len() > 0 {
-		n := heap.Pop(open).(*stNode)
-		if closed[n.key] {
-			continue
-		}
-		closed[n.key] = true
-		if expansions++; expansions > maxExpansionsPerAgent {
-			return nil
-		}
-		if n.key.t == win {
-			return reconstruct(n)
-		}
-		for _, d := range [5]geom.Dir{geom.Stay, geom.North, geom.South, geom.East, geom.West} {
-			next := n.key.cell.Step(d)
-			if !interior.Contains(next) {
-				continue
-			}
-			key := stKey{next, n.key.t + 1}
-			if closed[key] {
-				continue
-			}
-			if res.conflict(next, key.t) {
-				continue
-			}
-			step := 1
-			if next == goal && n.key.cell == goal {
-				step = 0 // resting at the goal is free
-			}
-			child := &stNode{
-				key:    key,
-				g:      n.g + step + penalty(next),
-				parent: n,
-			}
-			child.f = child.g + next.Manhattan(goal)
-			heap.Push(open, child)
-		}
-	}
-	return nil
 }
