@@ -45,6 +45,28 @@ func (pr Prioritized) Name() string {
 	}
 }
 
+// maxAttempts bounds how many priority orders a cooperative planner
+// tries before it gives up: the first plus up to three restarts with
+// the failed agents promoted.
+const maxAttempts = 4
+
+// promote returns order with the failed agents moved to the front, in
+// their own order, followed by the rest in theirs.
+func promote(failed, order []Agent) []Agent {
+	isFailed := make(map[int]bool, len(failed))
+	for _, a := range failed {
+		isFailed[a.ID] = true
+	}
+	out := make([]Agent, 0, len(order))
+	out = append(out, failed...)
+	for _, a := range order {
+		if !isFailed[a.ID] {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // Plan implements Planner.
 func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	if err := p.Validate(); err != nil {
@@ -77,7 +99,6 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	// instances, while ignoring them invites paths that chase waiting
 	// agents off the array. If some agent still fails, the whole plan is
 	// restarted with the failed agents promoted to highest priority.
-	const maxAttempts = 4
 	var paths map[int]geom.Path
 	solved := false
 	s := newSearcher(interior)
@@ -107,20 +128,7 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 			solved = true
 			break
 		}
-		// Promote failures to the front, keeping relative order of the
-		// rest, and replan from scratch.
-		isFailed := make(map[int]bool, len(failed))
-		for _, a := range failed {
-			isFailed[a.ID] = true
-		}
-		reordered := make([]Agent, 0, len(order))
-		reordered = append(reordered, failed...)
-		for _, a := range order {
-			if !isFailed[a.ID] {
-				reordered = append(reordered, a)
-			}
-		}
-		order = reordered
+		order = promote(failed, order)
 	}
 	if !solved {
 		// Final attempt's failures park at start; the plan is reported

@@ -20,17 +20,22 @@ type Windowed struct {
 }
 
 // RoundsExhaustedError is returned by Windowed.Plan alongside the
-// partial plan when the round budget runs out — either MaxRounds rounds
-// executed without every agent arriving, or the oscillation bound
-// tripped (several consecutive rounds with no net progress). It is a
-// typed error so callers can distinguish "incomplete planner gave up"
-// from "instance rejected".
+// partial plan when the planner gives up before every agent arrives —
+// MaxRounds rounds executed, the oscillation bound tripped (several
+// consecutive rounds with no net progress), or no priority order let
+// every agent plan a conflict-free window. It is a typed error so
+// callers can distinguish "incomplete planner gave up" from "instance
+// rejected".
 type RoundsExhaustedError struct {
 	// Rounds is the number of rounds executed.
 	Rounds int
 	// Stalled is true when the oscillation bound (no net progress over
 	// consecutive rounds) tripped before MaxRounds did.
 	Stalled bool
+	// Blocked is true when the next round could not be planned: under
+	// every priority order tried, some agent collided with an earlier
+	// agent's window even by waiting in place.
+	Blocked bool
 	// Remaining is the total Manhattan distance still to cover.
 	Remaining int
 }
@@ -38,7 +43,10 @@ type RoundsExhaustedError struct {
 // Error implements error.
 func (e *RoundsExhaustedError) Error() string {
 	why := "round budget exhausted"
-	if e.Stalled {
+	switch {
+	case e.Blocked:
+		why = "found no conflict-free round"
+	case e.Stalled:
 		why = "oscillation bound tripped"
 	}
 	return fmt.Sprintf("route: windowed planner %s after %d rounds (%d cells of distance remaining)",
@@ -55,9 +63,10 @@ func (w Windowed) window() int {
 	return 16
 }
 
-// Plan implements Planner. When the round budget runs out before every
-// agent arrives, it returns the partial plan (Solved=false) together
-// with a *RoundsExhaustedError.
+// Plan implements Planner. When it gives up before every agent arrives,
+// it returns the partial plan (Solved=false) together with a
+// *RoundsExhaustedError. Every round it commits is conflict-free, so the
+// plan passes CheckPlan whether solved or partial.
 func (w Windowed) Plan(p Problem) (*Plan, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -89,7 +98,7 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 	}
 	s := newSearcher(interior)
 	stalls := 0
-	stalled := false
+	stalled, blocked := false, false
 	rounds := 0
 	for ; rounds < maxRounds; rounds++ {
 		if totalDist() == 0 {
@@ -107,24 +116,14 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 				}
 			}
 		}
-		s.res.reset()
-		s.soft.reset()
-		for _, a := range order {
-			s.addSoft(cur[a.ID], 1)
+		round := planRound(s, order, cur, goals, win)
+		if round == nil {
+			blocked = true
+			break
 		}
 		before := totalDist()
 		for _, a := range order {
-			from := cur[a.ID]
-			s.addSoft(from, -1)
-			wp := s.windowAstar(from, goals[a.ID], win)
-			if wp == nil {
-				// Blocked completely: sit still for the window.
-				wp = make(geom.Path, win+1)
-				for i := range wp {
-					wp[i] = from
-				}
-			}
-			s.res.commit(wp)
+			wp := round[a.ID]
 			paths[a.ID] = append(paths[a.ID], wp[1:]...)
 			cur[a.ID] = wp[len(wp)-1]
 		}
@@ -142,7 +141,42 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 	pl := &Plan{Paths: paths, Solved: totalDist() == 0, Planner: w.Name()}
 	finalize(pl, p)
 	if !pl.Solved {
-		return pl, &RoundsExhaustedError{Rounds: rounds, Stalled: stalled, Remaining: totalDist()}
+		return pl, &RoundsExhaustedError{Rounds: rounds, Stalled: stalled, Blocked: blocked, Remaining: totalDist()}
 	}
 	return pl, nil
+}
+
+// planRound plans one window for every agent, in priority order, each
+// against the windows of the agents before it. An agent with no
+// conflict-free window (even waiting in place collides with an earlier
+// agent) is promoted to the front and the round is replanned, as
+// Prioritized restarts; it returns nil when maxAttempts orders all leave
+// some agent blocked.
+func planRound(s *searcher, order []Agent, cur, goals map[int]geom.Cell, win int) map[int]geom.Path {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
+		s.res.reset()
+		s.soft.reset()
+		for _, a := range order {
+			s.addSoft(cur[a.ID], 1)
+		}
+		round := make(map[int]geom.Path, len(order))
+		var blocked []Agent
+		for _, a := range order {
+			from := cur[a.ID]
+			s.addSoft(from, -1)
+			wp := s.windowAstar(from, goals[a.ID], win)
+			if wp == nil {
+				blocked = append(blocked, a)
+				s.addSoft(from, 1)
+				continue
+			}
+			s.res.commit(wp)
+			round[a.ID] = wp
+		}
+		if len(blocked) == 0 {
+			return round
+		}
+		order = promote(blocked, order)
+	}
+	return nil
 }

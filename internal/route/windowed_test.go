@@ -167,3 +167,26 @@ func TestWindowedOscillationReturnsTypedError(t *testing.T) {
 		t.Error("empty error text")
 	}
 }
+
+// TestWindowedNeverEmitsInvalidPlan pins a blocked-round regression:
+// when even waiting in place collided with a higher-priority agent's
+// window, the planner used to commit the colliding wait anyway and could
+// report the result solved ("separation violated at t=81 between 12 and
+// 25" on this instance). Every plan it returns, solved or partial, must
+// pass CheckPlan.
+func TestWindowedNeverEmitsInvalidPlan(t *testing.T) {
+	p, err := RandomProblem(20, 20, 32, 43)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := (Windowed{}).Plan(p)
+	if err != nil && !errors.As(err, new(*RoundsExhaustedError)) {
+		t.Fatal(err)
+	}
+	if plan.Solved == (err != nil) {
+		t.Fatalf("solved=%v with error %v", plan.Solved, err)
+	}
+	if err := CheckPlan(p, plan); err != nil {
+		t.Fatal(err)
+	}
+}
