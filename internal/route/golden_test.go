@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"biochip/internal/geom"
@@ -77,6 +78,8 @@ func gatherSweepProblems() []Problem {
 type goldenInstance struct {
 	name string
 	prob Problem
+	// paperScale marks the instances experiments build at Full scale.
+	paperScale bool
 }
 
 // goldenInstances are the routing instances experiments e7, e7b, e7c and
@@ -85,31 +88,35 @@ type goldenInstance struct {
 func goldenInstances(t testing.TB) []goldenInstance {
 	t.Helper()
 	var out []goldenInstance
-	add := func(name string, p Problem, err error) {
+	add := func(name string, p Problem, err error, paperScale bool) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out = append(out, goldenInstance{name, p})
+		out = append(out, goldenInstance{name, p, paperScale})
 	}
 	const e7, e12 = 7 * 1_000_003, 12 * 1_000_003
-	for _, sz := range []struct{ grid, n int }{{64, 4}, {64, 8}, {64, 16}, {128, 8}, {128, 32}, {128, 64}, {128, 128}} {
+	for _, sz := range []struct {
+		grid, n int
+		paper   bool
+	}{{64, 4, false}, {64, 8, false}, {64, 16, false}, {128, 8, true}, {128, 32, true}, {128, 64, true}, {128, 128, true}} {
 		p, err := RandomProblem(sz.grid, sz.grid, sz.n, e7+uint64(sz.n))
-		add(fmt.Sprintf("e7/random-%d-%d", sz.grid, sz.n), p, err)
+		add(fmt.Sprintf("e7/random-%d-%d", sz.grid, sz.n), p, err, sz.paper)
 	}
 	for _, sz := range []struct{ grid, n int }{{48, 4}, {48, 8}, {96, 8}, {96, 16}, {96, 24}} {
 		p, err := TransposeProblem(sz.grid, sz.grid, sz.n)
-		add(fmt.Sprintf("e7/transpose-%d-%d", sz.grid, sz.n), p, err)
+		add(fmt.Sprintf("e7/transpose-%d-%d", sz.grid, sz.n), p, err, sz.grid == 96)
 	}
 	for _, sz := range []struct{ grid, n int }{{160, 16}, {320, 64}} {
+		paper := sz.grid == 320
 		p, err := LocalProblem(sz.grid, sz.grid, sz.n, 6, e12)
-		add(fmt.Sprintf("e12/local-%d-%d", sz.grid, sz.n), p, err)
+		add(fmt.Sprintf("e12/local-%d-%d", sz.grid, sz.n), p, err, paper)
 		p, err = RandomProblem(sz.grid/2, sz.grid/2, sz.n, e12+1)
-		add(fmt.Sprintf("e12/random-%d-%d", sz.grid/2, sz.n), p, err)
+		add(fmt.Sprintf("e12/random-%d-%d", sz.grid/2, sz.n), p, err, paper)
 		p, err = TransposeProblem(sz.grid/2, sz.grid/2, sz.n/2)
-		add(fmt.Sprintf("e12/transpose-%d-%d", sz.grid/2, sz.n/2), p, err)
+		add(fmt.Sprintf("e12/transpose-%d-%d", sz.grid/2, sz.n/2), p, err, paper)
 	}
 	for i, p := range gatherSweepProblems() {
-		add(fmt.Sprintf("gather-sweep/seed-%d", i+1), p, nil)
+		add(fmt.Sprintf("gather-sweep/seed-%d", i+1), p, nil, false)
 	}
 	return out
 }
@@ -150,31 +157,30 @@ func planDigest(pl *Plan) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// goldenDigests plans every instance with every golden planner, and
-// compacts and refines every solved plan.
-func goldenDigests(t *testing.T) map[string]string {
+// goldenDigests plans one instance with every golden planner, and
+// compacts and refines every solved plan. Keys are "<instance>
+// <planner>[ compact| refine]".
+func goldenDigests(t *testing.T, in goldenInstance) map[string]string {
 	t.Helper()
 	got := make(map[string]string)
-	for _, in := range goldenInstances(t) {
-		for _, pl := range goldenPlanners() {
-			name := pl.Name()
-			if pr, ok := pl.(Prioritized); ok && pr.Seed != 0 {
-				name = fmt.Sprintf("%s/seed-%d", name, pr.Seed)
-			}
-			key := in.name + " " + name
-			plan, err := pl.Plan(in.prob)
-			if err != nil && !errors.As(err, new(*RoundsExhaustedError)) {
-				t.Fatalf("%s: %v", key, err)
-			}
-			got[key] = planDigest(plan)
-			if !plan.Solved {
-				continue
-			}
-			compacted, _ := Compact(in.prob, plan)
-			got[key+" compact"] = planDigest(compacted)
-			refined, _ := Refine(in.prob, plan, 3)
-			got[key+" refine"] = planDigest(refined)
+	for _, pl := range goldenPlanners() {
+		name := pl.Name()
+		if pr, ok := pl.(Prioritized); ok && pr.Seed != 0 {
+			name = fmt.Sprintf("%s/seed-%d", name, pr.Seed)
 		}
+		key := in.name + " " + name
+		plan, err := pl.Plan(in.prob)
+		if err != nil && !errors.As(err, new(*RoundsExhaustedError)) {
+			t.Fatalf("%s: %v", key, err)
+		}
+		got[key] = planDigest(plan)
+		if !plan.Solved {
+			continue
+		}
+		compacted, _ := Compact(in.prob, plan)
+		got[key+" compact"] = planDigest(compacted)
+		refined, _ := Refine(in.prob, plan, 3)
+		got[key+" refine"] = planDigest(refined)
 	}
 	return got
 }
@@ -185,52 +191,93 @@ func goldenDigests(t *testing.T) map[string]string {
 // digests exactly, heap tie-break order included; that is what keeps
 // every experiment table and cached report unchanged. Run with -update
 // to rewrite the file after an intended change of plans.
+//
+// Under the race detector the paper-scale instances are skipped: they
+// take minutes there, the search they exercise is single-goroutine, and
+// the partitioned planner's concurrency is covered by the rest.
 func TestGoldenPlans(t *testing.T) {
-	got := goldenDigests(t)
 	path := filepath.Join("testdata", "golden_plans.txt")
-	if *updateGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var b strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s %s\n", k, got[k])
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+	if *updateGolden && raceEnabled {
+		t.Fatal("-update needs every instance; run it without -race")
+	}
+	want := make(map[string]string)
+	if !*updateGolden {
+		f, err := os.Open(path)
+		if err != nil {
 			t.Fatal(err)
 		}
+		defer f.Close()
+		sc := bufio.NewScanner(f)
+		for sc.Scan() {
+			line := sc.Text()
+			i := strings.LastIndexByte(line, ' ')
+			if i < 0 {
+				t.Fatalf("malformed golden line %q", line)
+			}
+			want[line[:i]] = line[i+1:]
+		}
+		if err := sc.Err(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	instances := goldenInstances(t)
+	names := make(map[string]bool, len(instances))
+	for _, in := range instances {
+		names[in.name] = true
+	}
+	for k := range want {
+		if inst, _, _ := strings.Cut(k, " "); !names[inst] {
+			t.Errorf("%s: instance no longer produced", k)
+		}
+	}
+	var mu sync.Mutex
+	got := make(map[string]string)
+	t.Run("instances", func(t *testing.T) {
+		for _, in := range instances {
+			t.Run(in.name, func(t *testing.T) {
+				if in.paperScale && raceEnabled {
+					t.Skip("paper-scale instance under the race detector")
+				}
+				t.Parallel()
+				digests := goldenDigests(t, in)
+				mu.Lock()
+				defer mu.Unlock()
+				for k, d := range digests {
+					got[k] = d
+				}
+				if *updateGolden {
+					return
+				}
+				for k, d := range digests {
+					if w, ok := want[k]; !ok {
+						t.Errorf("%s: case missing from %s", k, path)
+					} else if d != w {
+						t.Errorf("%s: digest %s, want %s", k, d, w)
+					}
+				}
+				for k := range want {
+					if strings.HasPrefix(k, in.name+" ") {
+						if _, ok := digests[k]; !ok {
+							t.Errorf("%s: case no longer produced", k)
+						}
+					}
+				}
+			})
+		}
+	})
+	if !*updateGolden || t.Failed() {
 		return
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	want := make(map[string]string)
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := sc.Text()
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			t.Fatalf("malformed golden line %q", line)
-		}
-		want[line[:i]] = line[i+1:]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for k, w := range want {
-		if g, ok := got[k]; !ok {
-			t.Errorf("%s: case no longer produced", k)
-		} else if g != w {
-			t.Errorf("%s: digest %s, want %s", k, g, w)
-		}
-	}
+	keys := make([]string, 0, len(got))
 	for k := range got {
-		if _, ok := want[k]; !ok {
-			t.Errorf("%s: case missing from %s", k, path)
-		}
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		fmt.Fprintf(&b, "%s %s\n", k, got[k])
+	}
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
