@@ -69,7 +69,7 @@ func Refine(p Problem, pl *Plan, maxRounds int) (*Plan, int) {
 	}
 	interior := p.Interior()
 	horizon := p.EffectiveHorizon()
-	s := newSearcher(interior)
+	s := &searcher{interior: interior}
 	improved := 0
 	for round := 0; round < maxRounds; round++ {
 		changed := false

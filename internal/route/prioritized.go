@@ -101,7 +101,7 @@ func (pr Prioritized) Plan(p Problem) (*Plan, error) {
 	// restarted with the failed agents promoted to highest priority.
 	var paths map[int]geom.Path
 	solved := false
-	s := newSearcher(interior)
+	s := &searcher{interior: interior}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		s.res.reset()
 		s.soft.reset()

@@ -23,8 +23,9 @@
 //
 // Planners register by name (planner.go, PlannerByName) so higher layers
 // — assay programs, the assayd service, the CLI — select them without
-// compile-time coupling. reservation.go holds the reservation-table core
-// the space-time planners share.
+// compile-time coupling. search.go holds the space-time A* core that
+// Prioritized, Windowed and Refine share, over the reservation table in
+// reservation.go and the flat hash tables in table.go.
 package route
 
 import (

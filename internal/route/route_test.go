@@ -18,6 +18,7 @@ func TestProblemValidate(t *testing.T) {
 	}
 	cases := []Problem{
 		{Cols: 2, Rows: 2},
+		{Cols: maxGridSide + 1, Rows: 20},        // too wide for a packed table key
 		singleAgent(geom.C(0, 0), geom.C(5, 5)),  // start in margin
 		singleAgent(geom.C(5, 5), geom.C(19, 5)), // goal in margin
 		{Cols: 20, Rows: 20, Agents: []Agent{

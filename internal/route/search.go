@@ -56,10 +56,6 @@ func priority(f, g int32) uint64 {
 	return uint64(uint32(f))<<32 | uint64(^uint32(g))
 }
 
-func newSearcher(interior geom.Rect) *searcher {
-	return &searcher{interior: interior}
-}
-
 // addSoft adds delta to the soft-obstacle count of every cell within
 // separation of c: +1 when an agent starting at c becomes pending, −1
 // once it is planned.

@@ -96,7 +96,7 @@ func (w Windowed) Plan(p Problem) (*Plan, error) {
 		}
 		return d
 	}
-	s := newSearcher(interior)
+	s := &searcher{interior: interior}
 	stalls := 0
 	stalled, blocked := false, false
 	rounds := 0
