@@ -99,11 +99,3 @@ func (r *reservations) freeFrom(c geom.Cell) int {
 	}
 	return 0
 }
-
-// goalFreeAfter reports whether parking at goal from time t onward stays
-// conflict-free against all committed reservations.
-func (r *reservations) goalFreeAfter(goal geom.Cell, t int) bool {
-	// Someone parks near the goal forever, or a committed path still
-	// passes near it after t.
-	return !r.parkedNearGoal(goal) && t >= r.freeFrom(goal)
-}

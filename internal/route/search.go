@@ -107,11 +107,11 @@ func (s *searcher) windowAstar(from, goal geom.Cell, win int) geom.Path {
 }
 
 // search is the one space-time A* loop. With win == 0 a state is
-// terminal when it parks at goal conflict-free from tFree on; with
-// win > 0 every state at t == win is terminal and resting at the goal
-// costs nothing. The heuristic is the remaining distance, but never
-// less than the wait until tFree: that collapses the "loiter until the
-// goal is free" plateau that otherwise explodes the search.
+// terminal when it reaches goal at or after tFree; with win > 0 every
+// state at t == win is terminal and resting at the goal costs nothing.
+// The heuristic is the remaining distance, but never less than the wait
+// until tFree: that collapses the "loiter until the goal is free"
+// plateau that otherwise explodes the search.
 func (s *searcher) search(start, goal geom.Cell, tFree, horizon, win int) geom.Path {
 	s.closed.reset()
 	s.nodes = s.nodes[:0]
@@ -139,7 +139,9 @@ func (s *searcher) search(start, goal geom.Cell, tFree, horizon, win int) geom.P
 			if t == win {
 				return s.reconstruct(ni)
 			}
-		} else if cell == goal && t >= tFree && s.res.goalFreeAfter(goal, t) {
+		} else if cell == goal && t >= tFree {
+			// astar ruled out a park near the goal, and tFree is past the
+			// last reservation near it: parking here stays conflict-free.
 			return s.reconstruct(ni)
 		}
 		if t >= horizon {
