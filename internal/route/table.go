@@ -99,9 +99,6 @@ func (m *table) grow() {
 	m.slots = make([]slot, 1<<bits)
 	m.shift = 64 - bits
 	live := m.gen
-	if m.gen == 0 {
-		live = ^uint32(0) // a fresh table holds no live entries
-	}
 	m.gen = 1
 	mask := len(m.slots) - 1
 	for _, s := range old {
