@@ -255,6 +255,11 @@ func (pr Program) check(cfg *chip.Config) error {
 				return fmt.Errorf("assay: op %d: %w", i, err)
 			}
 			seenID := make(map[int]bool, len(o.Agents))
+			// goalAt indexes the goals checked so far by cell. They are
+			// pairwise ≥ MinSeparation apart, so each cell holds at most
+			// one, and a goal's too-close predecessors all lie in its
+			// (2·MinSeparation−1)² window.
+			goalAt := make(map[geom.Cell]int, len(o.Agents))
 			for k, tgt := range o.Agents {
 				if tgt.ID < 0 {
 					return fmt.Errorf("assay: op %d: negative agent id %d", i, tgt.ID)
@@ -272,12 +277,11 @@ func (pr Program) check(cfg *chip.Config) error {
 						return fmt.Errorf("assay: op %d: goal %v outside interior", i, tgt.Goal)
 					}
 				}
-				for _, prev := range o.Agents[:k] {
-					if tgt.Goal.Chebyshev(prev.Goal) < cage.MinSeparation {
-						return fmt.Errorf("assay: op %d: goals %v and %v too close",
-							i, prev.Goal, tgt.Goal)
-					}
+				if prev := closestEarlier(goalAt, tgt.Goal); prev >= 0 {
+					return fmt.Errorf("assay: op %d: goals %v and %v too close",
+						i, o.Agents[prev].Goal, tgt.Goal)
 				}
+				goalAt[tgt.Goal] = k
 			}
 		case Scan:
 			if !captured {
@@ -310,6 +314,22 @@ func (pr Program) check(cfg *chip.Config) error {
 		}
 	}
 	return nil
+}
+
+// closestEarlier returns the lowest index in goalAt of a goal closer
+// than MinSeparation (Chebyshev) to c, or -1 when there is none — what a
+// scan of every earlier goal in order would report first.
+func closestEarlier(goalAt map[geom.Cell]int, c geom.Cell) int {
+	const r = cage.MinSeparation - 1
+	first := -1
+	for dr := -r; dr <= r; dr++ {
+		for dc := -r; dc <= r; dc++ {
+			if k, ok := goalAt[geom.Cell{Col: c.Col + dc, Row: c.Row + dr}]; ok && (first < 0 || k < first) {
+				first = k
+			}
+		}
+	}
+	return first
 }
 
 // checkPlannerName rejects unknown planner references at compile time
@@ -627,11 +647,11 @@ func GatherProblem(sim *chip.Simulator, g Gather) (route.Problem, error) {
 	if goals == nil {
 		return route.Problem{}, fmt.Errorf("gather block at %v cannot hold %d cages", g.Anchor, len(ids))
 	}
-	// Stable assignment: sort ids, match greedily to nearest free goal
-	// (simple assignment keeps routes short without full Hungarian).
+	// Stable assignment: in ascending ID order (the IDs contract), match
+	// greedily to the nearest free goal (simple assignment keeps routes
+	// short without full Hungarian).
 	agents := make([]route.Agent, 0, len(ids))
 	usedGoal := make([]bool, len(goals))
-	sortInts(ids)
 	for _, id := range ids {
 		start, _ := sim.Layout().Position(id)
 		best, bestD := -1, 1<<30
@@ -677,9 +697,7 @@ func runMove(sim *chip.Simulator, m Move, rep *Report) error {
 		listed[tgt.ID] = true
 		agents = append(agents, route.Agent{ID: tgt.ID, Start: start, Goal: tgt.Goal})
 	}
-	parked := layout.IDs()
-	sortInts(parked)
-	for _, id := range parked {
+	for _, id := range layout.IDs() {
 		if listed[id] {
 			continue
 		}
@@ -774,12 +792,4 @@ func EstimateDuration(pr Program, cfg chip.Config) (float64, error) {
 		}
 	}
 	return total, nil
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }

@@ -2,13 +2,16 @@ package assay
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
+	"biochip/internal/cage"
 	"biochip/internal/chip"
 	"biochip/internal/geom"
 	"biochip/internal/particle"
+	"biochip/internal/rng"
 )
 
 func moveTestConfig() chip.Config {
@@ -36,9 +39,7 @@ func capturedSim(t *testing.T, cfg chip.Config) (*chip.Simulator, []int) {
 	if _, trapped, err := sim.CaptureAll(); err != nil || trapped == 0 {
 		t.Fatalf("capture: %d trapped, err %v", trapped, err)
 	}
-	ids := sim.Layout().IDs()
-	sortInts(ids)
-	return sim, ids
+	return sim, sim.Layout().IDs()
 }
 
 // moveProgramFor builds a complete load→capture→move→scan program whose
@@ -90,6 +91,72 @@ func TestMoveCheckRejections(t *testing.T) {
 		pr := Program{Name: "bad", Ops: append(append([]Op{}, ops...), tc.op)}
 		if err := pr.Check(cfg); err == nil {
 			t.Errorf("%s: Check accepted invalid move", tc.name)
+		}
+	}
+}
+
+// quadraticGoalCheck is the O(agents²) separation check the cell index
+// replaced: the first goal closer than MinSeparation to an earlier one,
+// paired with the lowest such earlier index, in the check's error text.
+func quadraticGoalCheck(op int, agents []MoveTarget) string {
+	for k, tgt := range agents {
+		for _, prev := range agents[:k] {
+			if tgt.Goal.Chebyshev(prev.Goal) < cage.MinSeparation {
+				return fmt.Sprintf("assay: op %d: goals %v and %v too close", op, prev.Goal, tgt.Goal)
+			}
+		}
+	}
+	return ""
+}
+
+// TestMoveGoalCheckMatchesQuadratic checks the indexed separation check
+// against the quadratic loop over random goal sets, dense enough that
+// most sets hold a too-close pair, with byte-identical error text.
+func TestMoveGoalCheckMatchesQuadratic(t *testing.T) {
+	src := rng.New(16)
+	base := []Op{Load{Kind: particle.ViableCell(), Count: 4}, Capture{}}
+	rejected := 0
+	for trial := 0; trial < 2000; trial++ {
+		side := 2 + src.Intn(24)
+		agents := make([]MoveTarget, 1+src.Intn(40))
+		for k := range agents {
+			agents[k] = MoveTarget{ID: k, Goal: geom.C(cage.Margin+src.Intn(side), cage.Margin+src.Intn(side))}
+		}
+		want := quadraticGoalCheck(len(base), agents)
+		pr := Program{Name: "diff", Ops: append(append([]Op{}, base...), Move{Agents: agents})}
+		got := ""
+		if err := pr.CheckOps(); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("trial %d (%d agents on a %d² block): CheckOps %q, quadratic %q", trial, len(agents), side, got, want)
+		}
+		if want != "" {
+			rejected++
+		}
+	}
+	if rejected == 0 || rejected == 2000 {
+		t.Fatalf("%d of 2000 random goal sets rejected; want both outcomes covered", rejected)
+	}
+}
+
+// BenchmarkCheckOpsLargeMove costs admission of a move with 32,761
+// agents on a MinSeparation lattice — every goal legal, so the
+// separation check runs to the end.
+func BenchmarkCheckOpsLargeMove(b *testing.B) {
+	const side = 181
+	mv := Move{Agents: make([]MoveTarget, 0, side*side)}
+	for r := 0; r < side; r++ {
+		for c := 0; c < side; c++ {
+			mv.Agents = append(mv.Agents, MoveTarget{ID: len(mv.Agents),
+				Goal: geom.C(cage.Margin+c*cage.MinSeparation, cage.Margin+r*cage.MinSeparation)})
+		}
+	}
+	pr := Program{Name: "large-move", Ops: []Op{Load{Kind: particle.ViableCell(), Count: 4}, Capture{}, mv}}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := pr.CheckOps(); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
