@@ -95,7 +95,7 @@ func KeyOf(pr assay.Program, seed uint64, profiles []ProfileMaterial) (Key, erro
 
 // Entry is one cached result reference: the ID of the job that computed
 // the result plus the approximate retained size of its cached payload
-// (report and, on a non-durable service, the pinned event tape).
+// (report and, on a non-durable service, the held event stream).
 type Entry struct {
 	// ID is the job whose terminal record holds the result.
 	ID string
@@ -158,8 +158,8 @@ func (l *LRU) Get(key Key) (Entry, bool) {
 
 // Add inserts (or refreshes) the entry for key as most recently used
 // and returns whatever entries were evicted to make room, so the caller
-// can release resources they pin (a non-durable service drops the
-// evicted jobs' event tapes).
+// can release resources they pin (a non-durable service releases the
+// evicted jobs' held event streams).
 func (l *LRU) Add(key Key, entry Entry) []Entry {
 	if el, ok := l.items[key]; ok {
 		it := el.Value.(*lruItem)

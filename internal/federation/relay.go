@@ -114,7 +114,7 @@ func (j *gwJob) localize(ev stream.Event) stream.Event {
 
 // rangeFetch recovers events that left the mirror window — the
 // backfill behind deep Last-Event-ID resumes — with one bounded SSE
-// fetch from the member, which serves its own ring, tape or durable
+// fetch from the member, which serves its own (held) ring or durable
 // log as appropriate. Events are localized exactly as the live relay
 // localizes them.
 func (g *Gateway) rangeFetch(j *gwJob, from, to uint64) []stream.Event {

@@ -33,9 +33,9 @@ import (
 // CacheConfig sizes the result cache.
 type CacheConfig struct {
 	// Entries bounds the in-memory LRU tier; 0 means
-	// cache.DefaultLRUEntries. On a non-durable service each entry pins
-	// its job's full event tape, so the bound is also the replay-memory
-	// bound.
+	// cache.DefaultLRUEntries. On a non-durable service each entry keeps
+	// its job's event ring held (the full stream), so the bound is also
+	// the replay-memory bound.
 	Entries int
 	// Disable turns the result cache off entirely: every submission
 	// executes, exactly as before the cache existed.
@@ -320,8 +320,8 @@ func (s *Service) serveHitLocked(root *Job, pr assay.Program, seed uint64, wal j
 // and guarantees the job is done and (on a durable service) persisted.
 func (s *Service) cacheInsertLocked(j *Job) {
 	bytes := reportBytes(j)
-	if !s.durable && j.tape != nil {
-		if raw, err := json.Marshal(j.tape.Events()); err == nil {
+	if !s.durable {
+		if raw, err := json.Marshal(j.ring.Events()); err == nil {
 			bytes += int64(len(raw))
 		}
 	}
@@ -329,18 +329,18 @@ func (s *Service) cacheInsertLocked(j *Job) {
 }
 
 // cacheReleaseLocked releases the resources pinned by evicted LRU
-// entries. On a non-durable service that is the root's event tape —
-// its stream backfill beyond the ring window is gone, exactly the
-// pre-cache behavior; on a durable service the store keeps serving the
-// stream, so eviction releases nothing. Caller holds s.mu.
+// entries. On a non-durable service that is the root's held event
+// stream — released with no backfill, its events beyond the ring
+// window are gone, exactly the pre-cache behavior; on a durable service
+// the store keeps serving the stream, so eviction releases nothing.
+// Caller holds s.mu.
 func (s *Service) cacheReleaseLocked(evicted []cache.Entry) {
 	if s.durable {
 		return
 	}
 	for _, e := range evicted {
-		if root := s.jobs[e.ID]; root != nil && root.tape != nil {
-			root.ring.SetBackfill(nil)
-			root.tape = nil
+		if root := s.jobs[e.ID]; root != nil {
+			root.ring.Release(nil)
 		}
 	}
 }

@@ -219,16 +219,15 @@ type Job struct {
 
 	pr   assay.Program
 	done chan struct{}
-	// ring is the job's bounded event stream; it lives as long as the
-	// job record, so subscribers can replay a finished job's events.
-	// Cache-hit aliases share their root's ring.
+	// ring is the job's event stream; it lives as long as the job
+	// record, so subscribers can replay a finished job's events.
+	// Cache-hit aliases share their root's ring. The ring of a durable
+	// or cacheable job is held (stream.Ring.Hold) while it executes:
+	// the window is bounded, the finish record is not. Its release
+	// installs the log as backfill once the finish record is persisted,
+	// or — non-durable cacheable jobs — waits for LRU eviction, so
+	// cache hits replay in full.
 	ring *stream.Ring
-	// tape records the full stream of a durably-persisted or cacheable
-	// job while it executes (the ring window is bounded, the finish
-	// record is not); finish drops it once the log takes over as the
-	// backfill source, or — non-durable cacheable jobs — keeps it
-	// pinned until LRU eviction so cache hits replay in full.
-	tape *stream.Tape
 	// key is the content address of a cacheable job (zero otherwise);
 	// persisted reports that the finish record reached the durable log.
 	key       cache.Key
@@ -289,7 +288,7 @@ type Service struct {
 	start    time.Time
 	// store is the durable persistence layer (store.Null{} when
 	// Config.Store is nil); durable caches store.Durable() — it gates
-	// every WAL write, tape attachment and backfill swap, so the
+	// every WAL write, finish record and log backfill, so the
 	// non-durable service behaves exactly as before persistence existed.
 	store   store.Store
 	durable bool
@@ -511,12 +510,13 @@ func shardIDsOf(shards []*shard, eligible []*profile) []int {
 }
 
 // enqueueLocked creates the job record under the given (already WAL'd
-// when durable) ID, attaches its event ring — log-backed via a tape tee
-// on a durable service — publishes the placement event, registers
-// cacheable jobs in the singleflight table and queues the job. The ID
-// must be fmt("a-%06d", s.seq+1); enqueueLocked advances s.seq.
-// traceParent is the foreign parent span from an X-Assay-Trace header
-// ("" for local and recovered submissions). Caller holds s.mu.
+// when durable) ID, attaches its event ring — held for the finish
+// record or the cache when durable or cacheable — publishes the
+// placement event, registers cacheable jobs in the singleflight table
+// and queues the job. The ID must be fmt("a-%06d", s.seq+1);
+// enqueueLocked advances s.seq. traceParent is the foreign parent span
+// from an X-Assay-Trace header ("" for local and recovered
+// submissions). Caller holds s.mu.
 func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target int, eligible []*profile, recovered bool, key cache.Key, traceParent string) *Job {
 	cls := s.classFor(eligible)
 	j := &Job{
@@ -540,14 +540,12 @@ func (s *Service) enqueueLocked(id string, pr assay.Program, seed uint64, target
 		j.enqAt = obs.Now()
 	}
 	if s.durable || !key.Zero() {
-		// Tee the full stream onto an unbounded tape: the bounded ring
-		// window alone cannot feed the finish record, and with the tape
-		// as backfill a subscriber never sees a gap for events the
-		// service still holds. Cacheable jobs tape even without a
-		// store, so a later cache hit can replay the whole stream.
-		j.tape = &stream.Tape{}
-		j.ring.Tee(j.tape.Append)
-		j.ring.SetBackfill(j.tape.Range)
+		// Hold the full stream: the bounded window alone cannot feed
+		// the finish record, and while held a subscriber never sees a
+		// gap for events the service still has. Cacheable jobs hold
+		// even without a store, so a later cache hit can replay the
+		// whole stream.
+		j.ring.Hold()
 	}
 	if !key.Zero() {
 		if _, dup := s.inflight[key]; !dup {
@@ -801,7 +799,7 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		s.met.jobs.With("done").Inc()
 	}
 	j.ring.Close()
-	if s.tracing && s.durable && j.tape != nil {
+	if s.tracing && s.durable {
 		pAt := obs.Now()
 		s.persistFinishLocked(j)
 		s.met.persist.With().Observe(obs.Since(pAt))
@@ -815,12 +813,11 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 		}
 		if j.Status == StatusDone && (!s.durable || j.persisted) {
 			s.cacheInsertLocked(j)
-		} else if !s.durable && j.tape != nil {
+		} else if !s.durable {
 			// A failed cacheable job on a non-durable service caches
-			// nothing — release its tape (failures are often
+			// nothing — release its stream (failures are often
 			// environmental: close, drain; a retry should execute).
-			j.ring.SetBackfill(nil)
-			j.tape = nil
+			j.ring.Release(nil)
 		}
 	}
 	finSpan.End()
@@ -831,14 +828,13 @@ func (s *Service) finish(sh *shard, j *Job, stolen bool, rep *assay.Report, err 
 }
 
 // persistFinishLocked appends the job's terminal record — status,
-// report and the complete event stream off the tape — to the durable
-// log, then swaps the ring's backfill source from the in-memory tape to
-// the log and drops the tape. On append failure the tape stays attached
-// (subscribers can still replay from memory) and the error is counted;
-// the job itself completes regardless. Caller holds s.mu. No-op on a
-// non-durable service.
+// report and the complete event stream off the held ring — to the
+// durable log, then releases the ring with the log as its backfill. On
+// append failure the ring stays held (subscribers can still replay from
+// memory) and the error is counted; the job itself completes
+// regardless. Caller holds s.mu. No-op on a non-durable service.
 func (s *Service) persistFinishLocked(j *Job) {
-	if !s.durable || j.tape == nil {
+	if !s.durable {
 		return
 	}
 	rec := store.FinishRecord{
@@ -847,7 +843,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 		Profile:  j.Profile,
 		Eligible: j.Eligible,
 		Error:    j.Error,
-		Events:   j.tape.Events(),
+		Events:   j.ring.Events(),
 	}
 	if !j.key.Zero() && j.Status == StatusDone {
 		// The content address makes the log the durable cache tier:
@@ -867,9 +863,7 @@ func (s *Service) persistFinishLocked(j *Job) {
 		return
 	}
 	j.persisted = true
-	j.ring.SetBackfill(s.storeBackfill(j.ID))
-	j.ring.Tee(nil)
-	j.tape = nil
+	j.ring.Release(s.storeBackfill(j.ID))
 }
 
 // storeBackfill returns a ring backfill reading the job's persisted

@@ -174,8 +174,8 @@ func TestStreamDeterminism(t *testing.T) {
 // naming the lost prefix, then the retained tail — bounded memory with
 // explicit truncation, never an unbounded buffer.
 func TestStreamGapWindow(t *testing.T) {
-	// Cache off: a cacheable job keeps its full event tape as ring
-	// backfill, which is exactly the truncation this test must defeat.
+	// Cache off: a cacheable job's ring is held (the full stream),
+	// which is exactly the truncation this test must defeat.
 	svc, err := New(Config{Shards: 1, EventBuffer: 4, Chip: testChip(),
 		Cache: CacheConfig{Disable: true}})
 	if err != nil {

@@ -2,19 +2,36 @@ package stream
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 )
 
-// TestTapeBackfillNoGap is the log-backed-ring regression test: with a
-// tape tee as backfill, a subscriber attaching after the bounded window
-// overwrote the head replays the complete stream — no gap event, every
-// sequence number — even though the ring retains only 4 events.
-func TestTapeBackfillNoGap(t *testing.T) {
+// rangeOf is a backfill serving a recorded stream whose sequence
+// numbers run 1..len(evs) — the shape of a durable log's copy, which
+// decodes a fresh slice per call.
+func rangeOf(evs []Event) func(from, to uint64) []Event {
+	return func(from, to uint64) []Event {
+		if from < 1 {
+			from = 1
+		}
+		if to > uint64(len(evs)) {
+			to = uint64(len(evs))
+		}
+		if from > to {
+			return nil
+		}
+		return append([]Event(nil), evs[from-1:to]...)
+	}
+}
+
+// TestHeldRingNoGap is the held-ring regression test: a subscriber
+// attaching after a 4-event window would have dropped the head replays
+// the complete stream — no gap event, every sequence number — because
+// the held ring keeps the whole stream.
+func TestHeldRingNoGap(t *testing.T) {
 	r := NewRing(4)
 	r.now = func() float64 { return 0 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
-	r.SetBackfill(tape.Range)
+	r.Hold()
 	publishN(r, 20)
 	r.Close()
 
@@ -24,13 +41,13 @@ func TestTapeBackfillNoGap(t *testing.T) {
 	}
 	for i, ev := range evs {
 		if ev.Type == Gap {
-			t.Fatalf("event %d is a gap despite a full backfill", i)
+			t.Fatalf("event %d is a gap on a held ring", i)
 		}
 		if ev.Seq != uint64(i+1) {
 			t.Fatalf("event %d has seq %d", i, ev.Seq)
 		}
 	}
-	// Resume from the middle of the backfilled region.
+	// Resume from the middle of the stream.
 	mid := drain(r.Subscribe(7))
 	if len(mid) != 13 || mid[0].Seq != 8 {
 		t.Fatalf("resume after 7: %d events, first seq %d", len(mid), mid[0].Seq)
@@ -45,15 +62,15 @@ func TestTapeBackfillNoGap(t *testing.T) {
 func TestPartialBackfillGapOnlyUnrecoverable(t *testing.T) {
 	r := NewRing(4)
 	r.now = func() float64 { return 0 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
+	r.Hold()
 	publishN(r, 20)
 	r.Close()
-	r.SetBackfill(func(from, to uint64) []Event {
+	log := rangeOf(r.Events())
+	r.Release(func(from, to uint64) []Event {
 		if from < 5 {
 			from = 5
 		}
-		return tape.Range(from, to)
+		return log(from, to)
 	})
 
 	evs := drain(r.Subscribe(0))
@@ -91,15 +108,14 @@ func TestNoBackfillKeepsGapSemantics(t *testing.T) {
 // window is empty, the stream is closed, and subscribers replay wholly
 // through the backfill with live-identical resume semantics.
 func TestRecoveredRing(t *testing.T) {
-	tape := &Tape{}
 	src := NewRing(64)
 	src.now = func() float64 { return 42 }
-	src.Tee(tape.Append)
+	src.Hold()
 	publishN(src, 9)
 	src.Close()
 	want := drain(src.Subscribe(0))
 
-	r := RecoveredRing(9, tape.Range)
+	r := RecoveredRing(9, rangeOf(src.Events()))
 	if got := r.Last(); got != 9 {
 		t.Fatalf("Last() = %d, want 9", got)
 	}
@@ -118,24 +134,149 @@ func TestRecoveredRing(t *testing.T) {
 	}
 }
 
-// TestTeeObservesStampedEvents pins the tee contract: the tape records
-// events after sequencing and stamping, so its copy is exactly what
-// subscribers saw and what a durable log should persist.
-func TestTeeObservesStampedEvents(t *testing.T) {
+// TestHeldEventsAreStamped pins the Events contract: a held ring
+// returns its events after sequencing and stamping, so its copy is
+// exactly what subscribers saw and what a durable log should persist.
+func TestHeldEventsAreStamped(t *testing.T) {
 	r := NewRing(2)
 	r.now = func() float64 { return 3.5 }
-	tape := &Tape{}
-	r.Tee(tape.Append)
+	r.Hold()
 	publishN(r, 5)
 	r.Close()
-	evs := tape.Events()
+	evs := r.Events()
 	if len(evs) != 5 {
-		t.Fatalf("tape has %d events, want 5", len(evs))
+		t.Fatalf("held ring has %d events, want 5", len(evs))
 	}
 	for i, ev := range evs {
 		if ev.Seq != uint64(i+1) || ev.Wall != 3.5 {
-			t.Fatalf("tape event %d: seq %d wall %v", i, ev.Seq, ev.Wall)
+			t.Fatalf("held event %d: seq %d wall %v", i, ev.Seq, ev.Wall)
 		}
 	}
-	r.Tee(nil) // detaching must be safe on a closed ring
+	r.Release(nil) // releasing must be safe on a closed ring
+	if got := r.Events(); len(got) != 2 || got[0].Seq != 4 {
+		t.Fatalf("after Release: %d events, want the 2-event window [4,5]", len(got))
+	}
+}
+
+// TestReleaseTrimsHeldStream covers a subscriber attached before
+// Release whose cursor sits before the trimmed prefix: with a backfill
+// installed it receives the backfill's events and no gap; with
+// Release(nil) it receives exactly one gap naming the trimmed prefix,
+// then the window.
+func TestReleaseTrimsHeldStream(t *testing.T) {
+	for _, withLog := range []bool{true, false} {
+		r := NewRing(4)
+		r.now = func() float64 { return 0 }
+		r.Hold()
+		publishN(r, 20)
+		r.Close()
+		sub := r.Subscribe(0)
+		full := r.Events()
+		var backfill func(from, to uint64) []Event
+		if withLog {
+			backfill = rangeOf(full)
+		}
+		r.Release(backfill)
+
+		evs := drain(sub)
+		if withLog {
+			if !reflect.DeepEqual(evs, full) {
+				t.Fatalf("backfilled replay differs from the held stream:\n got %+v\nwant %+v", evs, full)
+			}
+			continue
+		}
+		if len(evs) != 5 {
+			t.Fatalf("Release(nil): got %d events, want gap + 4: %+v", len(evs), evs)
+		}
+		if evs[0].Type != Gap || evs[0].Gap.From != 1 || evs[0].Gap.To != 16 {
+			t.Fatalf("Release(nil): first event %+v, want gap [1,16]", evs[0])
+		}
+		if !reflect.DeepEqual(evs[1:], full[16:]) {
+			t.Fatalf("Release(nil): window %+v, want %+v", evs[1:], full[16:])
+		}
+	}
+}
+
+// TestReleaseConcurrentWithReaders releases a held ring while readers
+// that started with it are still draining (run under -race): each sees
+// the whole stream, gap-free, partly from the window and partly from
+// the backfill Release installed.
+func TestReleaseConcurrentWithReaders(t *testing.T) {
+	const events, readers = 2000, 4
+	r := testRing(16)
+	r.Hold()
+	var wg sync.WaitGroup
+	streams := make([][]Event, readers)
+	for i := range streams {
+		wg.Add(1)
+		sub := r.Subscribe(0)
+		go func(i int, sub *Sub) {
+			defer wg.Done()
+			defer sub.Cancel()
+			for {
+				ev, ok := sub.Next(nil)
+				if !ok {
+					return
+				}
+				streams[i] = append(streams[i], ev)
+			}
+		}(i, sub)
+	}
+	publishN(r, events)
+	r.Close()
+	full := r.Events()
+	r.Release(rangeOf(full))
+	wg.Wait()
+	for i, got := range streams {
+		if !reflect.DeepEqual(got, full) {
+			t.Errorf("reader %d saw %d events, want the %d-event held stream", i, len(got), len(full))
+		}
+	}
+}
+
+// TestHeldRingAllocs is the exact allocation gate of the held ring: it
+// allocates its window up front and stores events in place, so a job
+// that fits the window costs the same allocations at any length.
+func TestHeldRingAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			r := NewRing(0)
+			r.Hold()
+			for i := 0; i < n; i++ {
+				r.Publish(Event{Type: OpStarted, T: float64(i)})
+			}
+		})
+	}
+	short, full := allocs(20), allocs(DefaultCapacity)
+	t.Logf("held: %v allocs for 20 events, %v for %d", short, full, DefaultCapacity)
+	if short != full {
+		t.Fatalf("NewRing+Hold+Publish: %v allocs for 20 events, %v for %d; want equal",
+			short, full, DefaultCapacity)
+	}
+	if short > 3 {
+		t.Fatalf("NewRing+Hold+Publish: %v allocs, want at most 3 (ring, window, subscriber set)", short)
+	}
+}
+
+// TestUnheldRingStaysBounded publishes ten windows into an unheld ring:
+// the storage grows once past the window and is then reused, and the
+// retained events are exactly the newest window.
+func TestUnheldRingStaysBounded(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			r := NewRing(0)
+			for i := 0; i < n; i++ {
+				r.Publish(Event{Type: OpStarted})
+			}
+		})
+	}
+	if one, ten := allocs(DefaultCapacity), allocs(10*DefaultCapacity); ten > one+1 {
+		t.Fatalf("unheld ring: %v allocs for one window, %v for ten; want at most one more", one, ten)
+	}
+	r := testRing(8)
+	publishN(r, 100)
+	evs := r.Events()
+	if len(evs) != 8 || evs[0].Seq != 93 || evs[7].Seq != 100 {
+		t.Fatalf("unheld ring retains %d events from seq %d, want the 8-event window [93,100]", len(evs), evs[0].Seq)
+	}
 }

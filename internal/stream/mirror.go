@@ -52,19 +52,11 @@ func (m *Mirror) Feed(ev Event) {
 		// resume that lost the gap frame); treat the jump as the gap.
 		r.advanceLocked(ev.Seq)
 	}
-	r.buf[int((ev.Seq-1)%uint64(len(r.buf)))] = ev
-	r.next = ev.Seq + 1
-	if r.tee != nil {
-		r.tee(ev)
-	}
-	if r.next-r.first > uint64(len(r.buf)) {
-		r.first = r.next - uint64(len(r.buf))
-	}
-	r.notifyLocked()
+	r.appendLocked(ev)
 }
 
 // advanceLocked moves the window start and the next expected sequence
-// number forward to seq without storing anything. Retained events
+// number forward to seq, dropping every stored event. Retained events
 // before seq leave the window (the backfill tier recovers them, as on
 // any overflow), so subscribers whose cursor lies before seq observe a
 // gap event for exactly the subrange of [cursor+1, seq-1] that no
@@ -73,17 +65,25 @@ func (r *Ring) advanceLocked(seq uint64) {
 	if seq <= r.next {
 		return
 	}
-	r.next = seq
-	if r.first < seq {
-		r.first = seq
-	}
+	clear(r.evs)
+	r.evs = r.evs[:0]
+	r.base, r.first, r.next = seq, seq, seq
 	r.notifyLocked()
 }
 
-// SetBackfill installs the recovery source for events that left the
-// mirror window — for a relay, typically a bounded re-fetch from the
-// upstream daemon. Semantics as Ring.SetBackfill.
-func (m *Mirror) SetBackfill(fn func(from, to uint64) []Event) { m.ring.SetBackfill(fn) }
+// SetBackfill installs (or, with nil, removes) the recovery source for
+// events that left the mirror window — for a relay, typically a bounded
+// re-fetch from the upstream daemon. fn is called under the ring lock
+// with an inclusive [from, to] range and must return whatever
+// contiguous suffix of that range it still holds, in ascending sequence
+// order and in a slice of its own; subscribers then see a gap only for
+// the prefix nothing can recover. Already-attached subscribers consult
+// it on their next out-of-window read.
+func (m *Mirror) SetBackfill(fn func(from, to uint64) []Event) {
+	m.ring.mu.Lock()
+	m.ring.backfill = fn
+	m.ring.mu.Unlock()
+}
 
 // Subscribe attaches a subscriber resuming after the given sequence
 // number, exactly as Ring.Subscribe.

@@ -8,17 +8,24 @@ import (
 // DefaultCapacity bounds a ring built with NewRing(0).
 const DefaultCapacity = 512
 
-// Ring is the bounded, replayable event buffer of one job. Publish
-// assigns monotonic sequence numbers and never blocks: when the ring is
-// full the oldest event is overwritten, and a subscriber that had not
-// read it yet receives a synthetic gap event instead of stalling the
-// publisher. Subscribers attach at any time (Subscribe) and replay the
-// retained window from any resume point — the engine behind SSE
+// Ring is the replayable event buffer of one job. Publish assigns
+// monotonic sequence numbers and never blocks: an unheld ring keeps only
+// its window of the newest events, and a subscriber that had not read an
+// event that left the window receives a synthetic gap event instead of
+// stalling the publisher. A held ring (Hold) keeps the whole stream
+// until Release. Subscribers attach at any time (Subscribe) and replay
+// the retained events from any resume point — the engine behind SSE
 // Last-Event-ID reconnects.
 type Ring struct {
 	mu sync.Mutex
-	// buf is circular storage indexed by (seq-1) % cap.
-	buf []Event
+	// evs stores events in sequence order: evs[i] has sequence number
+	// base+i. An unheld ring drops the prefix below first in batches.
+	evs  []Event
+	base uint64
+	// window is the number of newest events an unheld ring retains.
+	window int
+	// held keeps every published event (first stays put) until Release.
+	held bool
 	// first is the oldest retained sequence number; next is the next
 	// to assign. Both start at 1 (empty ring: first == next).
 	first, next uint64
@@ -26,14 +33,11 @@ type Ring struct {
 	subs        map[*Sub]struct{}
 	// now stamps Event.Wall; tests may zero-stamp by replacing it.
 	now func() float64
-	// tee, when set, receives every published event (stamped, with its
-	// sequence number) synchronously under the ring lock — the hook a
-	// durable log uses to capture the full stream past the window.
-	tee Sink
 	// backfill, when set, recovers events that have left the window:
 	// it returns the retained subsequence of [from, to] in ascending
-	// seq order. Subscribers only see a gap for sequence numbers the
-	// backfill cannot produce — data that is truly unrecoverable.
+	// seq order, in a slice the ring may then trim in place (each call
+	// returns its own). Subscribers only see a gap for sequence numbers
+	// the backfill cannot produce — data that is truly unrecoverable.
 	backfill func(from, to uint64) []Event
 }
 
@@ -44,65 +48,95 @@ func NewRing(capacity int) *Ring {
 		capacity = DefaultCapacity
 	}
 	return &Ring{
-		buf:   make([]Event, capacity),
-		first: 1,
-		next:  1,
-		subs:  make(map[*Sub]struct{}),
+		evs:    make([]Event, 0, capacity),
+		base:   1,
+		window: capacity,
+		first:  1,
+		next:   1,
+		subs:   make(map[*Sub]struct{}),
 		//detlint:allow walltime — THE sanctioned wall stamp: Event.Wall is telemetry, explicitly excluded from the determinism contract (tests zero it)
 		now: func() float64 { return float64(time.Now().UnixNano()) / 1e9 },
 	}
 }
 
 // Publish assigns the event its sequence number, stamps its wall clock,
-// stores it (overwriting the oldest when full) and wakes subscribers.
-// It never blocks and returns the assigned sequence number. Publishing
-// on a closed ring is a no-op returning 0.
+// stores it (an unheld ring lets the oldest leave its window) and wakes
+// subscribers. It never blocks and returns the assigned sequence
+// number. Publishing on a closed ring is a no-op returning 0.
 func (r *Ring) Publish(ev Event) uint64 {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.closed {
-		r.mu.Unlock()
 		return 0
 	}
 	ev.Seq = r.next
 	ev.Wall = r.now()
-	r.buf[int((ev.Seq-1)%uint64(len(r.buf)))] = ev
-	r.next++
-	if r.tee != nil {
-		r.tee(ev)
-	}
-	if r.next-r.first > uint64(len(r.buf)) {
-		r.first = r.next - uint64(len(r.buf))
+	r.appendLocked(ev)
+	return ev.Seq
+}
+
+// appendLocked stores ev, whose sequence number is r.next, trims an
+// unheld ring to its window and wakes subscribers. Caller holds r.mu.
+func (r *Ring) appendLocked(ev Event) {
+	r.evs = append(r.evs, ev)
+	r.next = ev.Seq + 1
+	if !r.held {
+		r.trimLocked()
 	}
 	r.notifyLocked()
-	r.mu.Unlock()
-	return ev.Seq
+}
+
+// trimLocked moves the window start to the newest window events and
+// drops the prefix before it once that prefix reaches half a window, so
+// the copy costs O(1) per event. Caller holds r.mu.
+func (r *Ring) trimLocked() {
+	if r.next-r.first > uint64(r.window) {
+		r.first = r.next - uint64(r.window)
+	}
+	if dead := int(r.first - r.base); dead > 0 && 2*dead >= r.window {
+		n := copy(r.evs, r.evs[dead:])
+		clear(r.evs[n:])
+		r.evs = r.evs[:n]
+		r.base = r.first
+	}
 }
 
 // Sink returns a Sink publishing into the ring.
 func (r *Ring) Sink() Sink { return func(ev Event) { r.Publish(ev) } }
 
-// Tee attaches (or, with nil, detaches) a secondary sink that receives
-// every published event after it is stamped and sequenced. The tee runs
-// synchronously under the ring lock and must not block — Tape.Append,
-// the production tee, never does.
-func (r *Ring) Tee(sink Sink) {
+// Hold makes the ring keep its whole stream instead of its window, so
+// the stream can feed a finish record (Events) and no subscriber sees a
+// gap while the job's owner still has every event. Call it before the
+// first Publish; Release ends it.
+func (r *Ring) Hold() {
 	r.mu.Lock()
-	r.tee = sink
+	r.held = true
 	r.mu.Unlock()
 }
 
-// SetBackfill installs (or, with nil, removes) the recovery source for
-// events that have been overwritten out of the ring window. fn is
-// called under the ring lock with an inclusive [from, to] range and
-// must return whatever contiguous suffix of that range it still holds,
-// in ascending sequence order; subscribers then see a gap only for the
-// prefix nothing can recover. Installing a backfill retroactively
-// upgrades already-attached subscribers — their next out-of-window read
-// consults it.
-func (r *Ring) SetBackfill(fn func(from, to uint64) []Event) {
+// Events returns a copy of the retained stream — on a held ring, every
+// event published so far.
+func (r *Ring) Events() []Event {
 	r.mu.Lock()
-	r.backfill = fn
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return append([]Event(nil), r.evs[r.first-r.base:]...)
+}
+
+// Release ends holding: the ring trims to its window, frees the held
+// storage and installs backfill (nil for none) as the source of the
+// events that left the window, in one step under the ring lock.
+func (r *Ring) Release(backfill func(from, to uint64) []Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.held = false
+	r.backfill = backfill
+	if r.next-r.first > uint64(r.window) {
+		r.first = r.next - uint64(r.window)
+	}
+	if dead := r.first - r.base; dead > 0 {
+		r.evs = append(make([]Event, 0, r.window), r.evs[dead:]...)
+		r.base = r.first
+	}
 }
 
 // RecoveredRing rebuilds the ring of a finished job restored from a
@@ -113,7 +147,7 @@ func (r *Ring) SetBackfill(fn func(from, to uint64) []Event) {
 // Last-Event-ID reconnects work unchanged across a daemon restart.
 func RecoveredRing(last uint64, backfill func(from, to uint64) []Event) *Ring {
 	r := NewRing(1)
-	r.first, r.next = last+1, last+1
+	r.base, r.first, r.next = last+1, last+1, last+1
 	r.closed = true
 	r.backfill = backfill
 	return r
@@ -170,8 +204,8 @@ type Sub struct {
 
 // Next returns the subscriber's next event, blocking until one is
 // available, the ring closes (all retained events delivered → ok
-// false), or stop fires (ok false). When the ring overwrote events the
-// subscriber had not read, Next first consults the ring's backfill (a
+// false), or stop fires (ok false). When events the subscriber had not
+// read left the ring window, Next first consults the ring's backfill (a
 // durable log can usually recover them); only the range no backfill can
 // produce comes back as a synthetic gap event, after which delivery
 // resumes at the oldest recoverable event.
@@ -196,7 +230,7 @@ func (s *Sub) Next(stop <-chan struct{}) (Event, bool) {
 			s.ring.mu.Unlock()
 			return gap, true
 		case want < s.ring.next:
-			ev := s.ring.buf[int((want-1)%uint64(len(s.ring.buf)))]
+			ev := s.ring.evs[want-s.ring.base]
 			s.cursor = want
 			s.ring.mu.Unlock()
 			return ev, true

@@ -1,8 +1,9 @@
 // Package stream is the live event surface of an executing assay: a
 // small deterministic event vocabulary (job placement, per-operation
 // progress, scan-table row batches, routing provenance, completion)
-// plus a bounded, replayable, per-job ring buffer that fans events out
-// to any number of subscribers without ever blocking the producer.
+// plus a replayable per-job ring — bounded to a window unless its owner
+// holds the whole stream — that fans events out to any number of
+// subscribers without ever blocking the producer.
 //
 // The package sits below every layer that emits or serves events: the
 // chip simulator and the assay executor publish through a Sink, the
@@ -17,8 +18,6 @@
 // which is explicitly excluded from the contract (tests zero it before
 // comparing). docs/streaming.md is the full taxonomy and wire contract.
 package stream
-
-import "sync"
 
 // Event types. The job.* envelope events are published by the service
 // around an execution; everything else is emitted by the instrumented
@@ -42,9 +41,10 @@ const (
 	// right after).
 	JobDone   = "job.done"
 	JobFailed = "job.failed"
-	// Gap tells a slow subscriber that the bounded ring overwrote
-	// events it had not read yet; Event.Gap holds the lost range. Gap
-	// events have no sequence number of their own.
+	// Gap tells a slow subscriber that events it had not read yet left
+	// the ring window and no backfill could recover them; Event.Gap
+	// holds the lost range. Gap events have no sequence number of
+	// their own.
 	Gap = "gap"
 	// Shutdown tells a subscriber the service has drained and is about
 	// to exit; it is the last event of a stream when it appears.
@@ -159,54 +159,6 @@ type GapInfo struct {
 // invoked synchronously on the executing goroutine and must not block
 // (Ring.Publish, the production sink, never does).
 type Sink func(Event)
-
-// Tape is the unbounded, thread-safe recorder behind the log-backed
-// ring: attached as a Ring.Tee it retains the job's full event stream —
-// already stamped and sequenced, so sequence numbers run 1..n with no
-// holes — until the finish record is persisted and the durable log
-// takes over as the backfill source. Range is the Ring backfill
-// signature, so a live job's subscribers never see a gap while a tape
-// is attached.
-type Tape struct {
-	mu  sync.Mutex
-	evs []Event
-}
-
-// Append records one event. It is the Ring tee target and never blocks
-// beyond the tape's own lock.
-func (t *Tape) Append(ev Event) {
-	t.mu.Lock()
-	t.evs = append(t.evs, ev)
-	t.mu.Unlock()
-}
-
-// Range returns the recorded events with sequence numbers in the
-// inclusive [from, to] range — the Ring backfill contract.
-func (t *Tape) Range(from, to uint64) []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if from < 1 {
-		from = 1
-	}
-	if to > uint64(len(t.evs)) {
-		to = uint64(len(t.evs))
-	}
-	if from > to {
-		return nil
-	}
-	out := make([]Event, to-from+1)
-	copy(out, t.evs[from-1:to])
-	return out
-}
-
-// Events returns a snapshot of the full recorded stream.
-func (t *Tape) Events() []Event {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Event, len(t.evs))
-	copy(out, t.evs)
-	return out
-}
 
 // Collector is an in-memory Sink for serial replays and tests: it
 // assigns sequence numbers exactly like a Ring (starting at 1) but
